@@ -1,11 +1,13 @@
 // Figure 3.5 — FST vs Other Succinct Tries: point-query throughput and
 // memory for FST against a baseline succinct trie (our stand-in for
-// tx-trie/PDT: the same LOUDS-Sparse encoding with generic Poppy-style
-// rank/select, no LOUDS-Dense, no SIMD/prefetch — see DESIGN.md). All tries
-// store complete keys.
+// tx-trie/PDT: LOUDS-Sparse as three flat sequences with generic
+// Poppy-style rank and binary-search select, no LOUDS-Dense, no
+// SIMD/prefetch — bench/legacy_louds.h, DESIGN.md). All tries store
+// complete keys.
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "bench/legacy_louds.h"
 #include "fst/fst.h"
 #include "keys/keygen.h"
 #include "ycsb/workload.h"
@@ -20,29 +22,27 @@ void Run(const char* name, const std::vector<std::string>& keys) {
   std::vector<uint64_t> values(keys.size());
   for (size_t i = 0; i < values.size(); ++i) values[i] = i;
 
-  FstConfig baseline;  // "earlier succinct trie" design point
-  baseline.max_dense_levels = 0;
-  baseline.fast_rank = false;
-  baseline.fast_select = false;
-  baseline.simd_label_search = false;
-  baseline.prefetch = false;
+  // "Earlier succinct trie" design point: sparse-only, every Section 3.6
+  // optimization swapped for its generic alternative.
+  bench::LegacyLoudsTrie baseline;
+  baseline.Build(keys, values, /*max_dense_levels=*/0,
+                 bench::LegacyOptions{false, false, false, false});
+  Fst fst;
+  fst.Build(keys, values);
 
-  struct Case {
-    const char* label;
-    FstConfig cfg;
-  } cases[] = {{"baseline-succinct", baseline}, {"FST", FstConfig{}}};
-
-  for (const auto& c : cases) {
-    Fst t;
-    t.Build(keys, values, c.cfg);
+  auto report = [&](const char* label, size_t bytes, auto&& lookup) {
     double mops = bench::Mops(q, [&](size_t i) {
       uint64_t v = 0;
-      t.Lookup(keys[queries[i].key_index], &v);
-             met::bench::Consume(v);
+      lookup(keys[queries[i].key_index], &v);
+      met::bench::Consume(v);
     });
-    std::printf("%-20s %-7s %10.2f %12.1f\n", c.label, name, mops,
-                bench::Mb(t.MemoryBytes()));
-  }
+    std::printf("%-20s %-7s %10.2f %12.1f\n", label, name, mops,
+                bench::Mb(bytes));
+  };
+  report("baseline-succinct", baseline.MemoryBytes(),
+         [&](const std::string& k, uint64_t* v) { baseline.Lookup(k, v); });
+  report("FST", fst.MemoryBytes(),
+         [&](const std::string& k, uint64_t* v) { fst.Lookup(k, v); });
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // RankSupport is the FST-customized single-level lookup table (Fig 3.3 of the
 // thesis): a 32-bit precomputed rank per fixed-size basic block, plus popcount
 // within the block. Block size 64 is used for LOUDS-Dense (one popcount per
-// query), 512 for LOUDS-Sparse (one cacheline per block, 6.25% overhead).
+// query); 512 (one cacheline per block, 6.25% overhead) was the thesis's
+// LOUDS-Sparse choice, kept by the three-array baseline in
+// bench/legacy_louds.h. The production LOUDS-Sparse keeps its rank inline in
+// each block (fst/fst.h).
 //
 // PoppyRank is a generic two-level baseline approximating Zhou et al.'s
 // "Poppy" used by the Fig 3.6 optimization-breakdown experiment.

@@ -1,7 +1,9 @@
 // Sampled select support (Fig 3.3, right half): a lookup table storing the
 // position of every S-th set bit; queries scan forward from the nearest
 // sample using word popcounts. Works well on S-LOUDS, which is dense
-// (17-34% ones) with an even distribution of set bits.
+// (17-34% ones) with an even distribution of set bits. The production FST
+// needs no select (its sparse blocks carry child pointers); the three-array
+// baseline in bench/legacy_louds.h uses this one.
 #ifndef MET_BITVEC_SELECT_H_
 #define MET_BITVEC_SELECT_H_
 

@@ -2,9 +2,9 @@
 //
 // Checked invariants, in dependency order:
 //  * size accounting: 256-bit D-Labels/D-HasChild and 1-bit D-IsPrefixKey
-//    per dense node; one S-HasChild/S-LOUDS bit per sparse label; 16-byte
-//    SIMD slack on the label bytes; level_node_start_ layout with its two
-//    sentinels;
+//    per dense node; (labels + 1) / 96 + 1 sparse blocks whose positions
+//    past the last label are zero except the two terminator S-LOUDS bits;
+//    level_node_start_ layout with its two sentinels;
 //  * D-HasChild ⊆ D-Labels (a branch cannot exist without its label);
 //  * child bijection: every node except the root is the target of exactly
 //    one has-child bit, so dense_child_count_ + popcount(S-HasChild) ==
@@ -16,10 +16,13 @@
 //  * sparse node shape: S-LOUDS set at position 0, every node's labels
 //    strictly increasing, a 0xFF prefix-key marker only at the start of a
 //    node of size >= 2 and never with has-child;
-//  * rank/select consistency: the active rank structure (fast LUT or Poppy
-//    baseline, per config) agrees with a naive cumulative popcount at every
-//    position of all five bit sequences, and SelectLouds is the inverse of
-//    rank over S-LOUDS at every sparse node;
+//  * rank consistency: the dense rank LUTs agree with a naive cumulative
+//    popcount at every position of the three dense bit sequences;
+//  * block fields: each block's inline rank equals the S-HasChild bits
+//    before it, and its child pointer is the start of the child node of the
+//    first has-child label at or after its first label (found by a naive
+//    scan of S-LOUDS); the dense-to-sparse child pointers and the per-level
+//    sparse start positions match the same scan;
 //  * full ordered walk (skipped if the structural checks above failed, since
 //    iterating a corrupt encoding may not terminate): leaf paths strictly
 //    increasing, leaf ids a permutation of [0, num_leaves()), and
@@ -30,6 +33,7 @@
 
 #include "check/check.h"
 #include "fst/fst.h"
+#include "fst/fst_step.h"
 
 namespace met {
 
@@ -47,17 +51,15 @@ bool Fst::CheckValidate(std::ostream& os) const {
                  "D-IsPrefixKey holds " << d_is_prefix_.size() << " bits for "
                                         << dense_node_count_
                                         << " dense nodes");
-  MET_CHECK_THAT(rep, s_has_child_.size() == num_s_labels_,
-                 "S-HasChild holds " << s_has_child_.size() << " bits for "
-                                     << num_s_labels_ << " labels");
-  MET_CHECK_THAT(rep, s_louds_.size() == num_s_labels_,
-                 "S-LOUDS holds " << s_louds_.size() << " bits for "
-                                  << num_s_labels_ << " labels");
-  MET_CHECK_THAT(rep, s_labels_.size() >= num_s_labels_ + 16,
-                 "missing SIMD slack: " << s_labels_.size() << " bytes for "
-                                        << num_s_labels_ << " labels");
   MET_CHECK_THAT(rep, num_nodes_ >= dense_node_count_,
                  num_nodes_ << " nodes but " << dense_node_count_ << " dense");
+  constexpr size_t kL = SparseBlock::kLabels;
+  const size_t want_blocks = num_nodes_ == 0 ? 0 : (num_s_labels_ + 1) / kL + 1;
+  MET_CHECK_THAT(rep, blocks_.size() == want_blocks,
+                 blocks_.size() << " sparse blocks for " << num_s_labels_
+                                << " labels, expected " << want_blocks);
+  // Everything below indexes blocks by position; stop on a wrong count.
+  if (!rep.ok()) return false;
 
   if (!(num_nodes_ == 0 && level_node_start_.empty())) {
     MET_CHECK_THAT(rep, level_node_start_.size() == height_ + 2,
@@ -81,12 +83,28 @@ bool Fst::CheckValidate(std::ostream& os) const {
     }
   }
 
+  // The flat sequences the blocks encode, and the block padding.
+  const SparseSequences flat = FlattenSparse();
+  const std::vector<uint8_t>& s_labels = flat.labels;
+  const BitVector& s_has_child = flat.has_child;
+  const BitVector& s_louds = flat.louds;
+  for (size_t i = num_s_labels_; i < blocks_.size() * kL; ++i) {
+    bool terminator = i <= num_s_labels_ + 1;
+    if (SparseLabel(i) != 0 || SparseHasChild(i) ||
+        SparseLouds(i) != terminator) {
+      MET_CHECK_THAT(rep, false,
+                     "sparse position " << i << " past the last label is "
+                         << (terminator ? "not a terminator" : "not zero"));
+      break;
+    }
+  }
+
   // ---- Bit-sequence relations ----
   size_t d_labels_ones = d_labels_.CountOnes();
   size_t d_has_child_ones = d_has_child_.CountOnes();
   size_t d_prefix_ones = d_is_prefix_.CountOnes();
-  size_t s_has_child_ones = s_has_child_.CountOnes();
-  size_t s_louds_ones = s_louds_.CountOnes();
+  size_t s_has_child_ones = s_has_child.CountOnes();
+  size_t s_louds_ones = s_louds.CountOnes();
   size_t sparse_nodes = num_nodes_ - dense_node_count_;
 
   for (size_t i = 0; i < d_has_child_.size(); ++i) {
@@ -137,53 +155,42 @@ bool Fst::CheckValidate(std::ostream& os) const {
 
   // ---- Sparse node shape: LOUDS boundaries, ordering, 0xFF markers ----
   if (num_s_labels_ > 0) {
-    MET_CHECK_THAT(rep, s_louds_.Get(0),
+    MET_CHECK_THAT(rep, s_louds.Get(0),
                    "first sparse label does not start a node");
   }
   for (size_t start = 0; start < num_s_labels_;) {
     size_t end = start + 1;
-    while (end < num_s_labels_ && !s_louds_.Get(end)) ++end;
-    bool marker = s_labels_[start] == 0xFF && end - start >= 2;
+    while (end < num_s_labels_ && !s_louds.Get(end)) ++end;
+    bool marker = s_labels[start] == 0xFF && end - start >= 2;
     if (marker) {
-      MET_CHECK_THAT(rep, !s_has_child_.Get(start),
+      MET_CHECK_THAT(rep, !s_has_child.Get(start),
                      "0xFF prefix marker at " << start
                                               << " carries a has-child bit");
     }
     for (size_t i = start + (marker ? 2 : 1); i < end; ++i) {
-      MET_CHECK_THAT(rep, s_labels_[i - 1] < s_labels_[i],
+      MET_CHECK_THAT(rep, s_labels[i - 1] < s_labels[i],
                      "sparse labels out of order in node [" << start << ", "
                          << end << ") at " << i);
     }
     start = end;
   }
 
-  // ---- Rank consistency: active structure vs naive cumulative count ----
+  // ---- Dense rank consistency: LUT vs naive cumulative count ----
   struct RankProbe {
     const char* name;
     const BitVector* bits;
-    size_t (*rank)(const Fst*, size_t);
+    const RankSupport* rank;
   };
   const RankProbe probes[] = {
-      {"D-Labels", &d_labels_,
-       [](const Fst* f, size_t p) { return f->DenseRankLabels(p); }},
-      {"D-HasChild", &d_has_child_,
-       [](const Fst* f, size_t p) { return f->DenseRankHasChild(p); }},
-      {"D-IsPrefixKey", &d_is_prefix_,
-       [](const Fst* f, size_t p) {
-         return f->RankD(f->d_is_prefix_rank_, f->d_is_prefix_poppy_, p);
-       }},
-      {"S-HasChild", &s_has_child_,
-       [](const Fst* f, size_t p) { return f->SparseRankHasChild(p); }},
-      {"S-LOUDS", &s_louds_,
-       [](const Fst* f, size_t p) {
-         return f->RankD(f->s_louds_rank_, f->s_louds_poppy_, p);
-       }},
+      {"D-Labels", &d_labels_, &d_labels_rank_},
+      {"D-HasChild", &d_has_child_, &d_has_child_rank_},
+      {"D-IsPrefixKey", &d_is_prefix_, &d_is_prefix_rank_},
   };
   for (const RankProbe& probe : probes) {
     size_t cum = 0;
     for (size_t pos = 0; pos < probe.bits->size(); ++pos) {
       if (probe.bits->Get(pos)) ++cum;
-      size_t got = probe.rank(this, pos);
+      size_t got = probe.rank->Rank1(pos);
       if (got != cum) {
         MET_CHECK_THAT(rep, false,
                        probe.name << " rank1(" << pos << ") == " << got
@@ -193,20 +200,54 @@ bool Fst::CheckValidate(std::ostream& os) const {
     }
   }
 
-  // ---- Select inverse over S-LOUDS ----
-  {
-    size_t cum = 0, node = 0;
-    for (size_t pos = 0; pos < num_s_labels_ && node < sparse_nodes; ++pos) {
-      if (!s_louds_.Get(pos)) continue;
-      ++cum;
-      size_t got = SelectLouds(cum);
-      if (got != pos) {
+  // ---- Block ranks and child pointers vs a naive S-LOUDS scan ----
+  if (num_nodes_ > 0 && rep.ok()) {
+    // starts[n]: start of sparse node n; the terminator is node sparse_nodes.
+    std::vector<size_t> starts;
+    for (size_t i = 0; i < num_s_labels_; ++i)
+      if (s_louds.Get(i)) starts.push_back(i);
+    starts.push_back(num_s_labels_);
+    const size_t first_sparse_child =
+        dense_child_count_ + 1 - dense_node_count_;
+    size_t rank = 0;
+    for (size_t b = 0; b < blocks_.size(); ++b) {
+      const SparseBlock& blk = blocks_[b];
+      size_t child = first_sparse_child + rank;
+      if (blk.rank != rank || child >= starts.size() ||
+          blk.child_pos != starts[child]) {
         MET_CHECK_THAT(rep, false,
-                       "SelectLouds(" << cum << ") == " << got
-                                      << ", node actually starts at " << pos);
+                       "block " << b << " holds rank " << blk.rank
+                           << " and child pointer " << blk.child_pos
+                           << "; naive scan gives " << rank << " and "
+                           << (child < starts.size() ? starts[child] : 0));
         break;
       }
-      ++node;
+      for (size_t i = b * kL; i < (b + 1) * kL && i < num_s_labels_; ++i)
+        rank += s_has_child.Get(i);
+    }
+    MET_CHECK_THAT(rep, dense_child_pos_.size() == first_sparse_child + 1,
+                   dense_child_pos_.size() << " dense-to-sparse child pointers"
+                       << " for " << first_sparse_child << " sparse children"
+                       << " of dense labels");
+    for (size_t n = 0; n < dense_child_pos_.size() && n < starts.size(); ++n) {
+      if (dense_child_pos_[n] != starts[n]) {
+        MET_CHECK_THAT(rep, false,
+                       "dense-to-sparse child " << n << " points at "
+                           << dense_child_pos_[n] << ", node starts at "
+                           << starts[n]);
+        break;
+      }
+    }
+    MET_CHECK_THAT(rep, level_pos_start_.size() == level_node_start_.size(),
+                   level_pos_start_.size() << " sparse level starts for "
+                       << level_node_start_.size() << " levels");
+    for (size_t l = 0; l < level_pos_start_.size(); ++l) {
+      size_t want = l < dense_levels_
+                        ? 0
+                        : starts[level_node_start_[l] - dense_node_count_];
+      MET_CHECK_THAT(rep, level_pos_start_[l] == want,
+                     "sparse level " << l << " starts at "
+                         << level_pos_start_[l] << ", expected " << want);
     }
   }
 

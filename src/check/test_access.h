@@ -106,16 +106,32 @@ struct TestAccess {
     t->values_.pop_back();
   }
 
-  /// Flips the first S-HasChild bit without rebuilding rank support,
+  /// Flips the first S-HasChild bit without rebuilding the block ranks,
   /// breaking the child bijection and the rank cross-checks. Returns false
   /// if the trie has no sparse levels to corrupt.
   template <typename F>
   static bool FlipFstHasChildBit(F* t) {
-    if (t->s_has_child_.empty()) return false;
-    if (t->s_has_child_.Get(0))
-      t->s_has_child_.Clear(0);
-    else
-      t->s_has_child_.Set(0);
+    if (t->num_s_labels_ == 0) return false;
+    t->blocks_[0].has_child_lo ^= 1;
+    return true;
+  }
+
+  /// Bumps the inline S-HasChild rank of the last sparse block. Returns
+  /// false if the trie has no sparse levels.
+  template <typename F>
+  static bool CorruptFstBlockRank(F* t) {
+    if (t->num_s_labels_ == 0) return false;
+    ++t->blocks_.back().rank;
+    return true;
+  }
+
+  /// Moves the child pointer of the first sparse block one label forward,
+  /// off the node start it must name. Returns false if the trie has no
+  /// sparse levels.
+  template <typename F>
+  static bool CorruptFstChildPointer(F* t) {
+    if (t->num_s_labels_ == 0) return false;
+    ++t->blocks_[0].child_pos;
     return true;
   }
 

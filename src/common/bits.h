@@ -5,6 +5,10 @@
 #include <cstdint>
 #include <cstddef>
 
+#if defined(__BMI2__)
+#include <immintrin.h>
+#endif
+
 namespace met {
 
 /// Number of set bits in `x`.

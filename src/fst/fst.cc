@@ -3,11 +3,8 @@
 #include <algorithm>
 
 #include "common/assert.h"
+#include "fst/fst_step.h"
 #include "obs/metrics.h"
-
-#ifdef MET_USE_SSE2
-#include <emmintrin.h>
-#endif
 
 namespace met {
 
@@ -17,9 +14,11 @@ namespace {
 /// dense/sparse split is chosen.
 struct LevelData {
   std::vector<uint8_t> labels;
-  std::vector<bool> has_child;
-  std::vector<bool> louds;      // set at first label of each node
-  std::vector<bool> is_marker;  // label is the 0xFF prefix-key marker
+  // One byte per flag: vector<bool>'s bit packing costs more build time
+  // than the bytes it saves in this short-lived structure.
+  std::vector<uint8_t> has_child;
+  std::vector<uint8_t> louds;      // set at first label of each node
+  std::vector<uint8_t> is_marker;  // label is the 0xFF prefix-key marker
   std::vector<uint32_t> value_key_index;  // key index per terminating label
   size_t node_count = 0;
 };
@@ -110,9 +109,6 @@ void Fst::Build(const std::vector<std::string>& keys,
   d_labels_ = BitVector();
   d_has_child_ = BitVector();
   d_is_prefix_ = BitVector();
-  s_labels_.clear();
-  s_has_child_ = BitVector();
-  s_louds_ = BitVector();
   values_.clear();
   level_node_start_.clear();
 
@@ -168,13 +164,14 @@ void Fst::Build(const std::vector<std::string>& keys,
   dense_value_count_ = leaf_keys.size();
 
   // Sparse levels: byte/bit sequences in level order; markers stay as 0xFF.
+  SparseSequences flat;
   for (size_t l = cutoff; l < height_; ++l) {
     const LevelData& ld = levels[l];
     size_t vi = 0;
     for (size_t li = 0; li < ld.labels.size(); ++li) {
-      s_labels_.push_back(ld.labels[li]);
-      s_has_child_.PushBack(ld.has_child[li]);
-      s_louds_.PushBack(ld.louds[li]);
+      flat.labels.push_back(ld.labels[li]);
+      flat.has_child.PushBack(ld.has_child[li]);
+      flat.louds.PushBack(ld.louds[li]);
       if (!ld.has_child[li]) {
         leaf_keys.push_back(ld.value_key_index[vi++]);
         leaf_depths.push_back(
@@ -183,10 +180,6 @@ void Fst::Build(const std::vector<std::string>& keys,
     }
     MET_DCHECK(vi == ld.value_key_index.size());
   }
-  num_s_labels_ = s_labels_.size();
-  s_labels_.resize(num_s_labels_ + 16, 0);  // SIMD slack
-  s_labels_.shrink_to_fit();
-
   if (config.store_values && !values.empty()) {
     values_.resize(leaf_keys.size());
     for (size_t i = 0; i < leaf_keys.size(); ++i)
@@ -196,85 +189,113 @@ void Fst::Build(const std::vector<std::string>& keys,
   if (leaf_depth != nullptr) *leaf_depth = std::move(leaf_depths);
   num_leaves_ = leaf_keys.size();
 
-  // ---- Phase 4: rank & select supports. ----
-  if (config.fast_rank) {
-    d_labels_rank_.Build(&d_labels_, 64);
-    d_has_child_rank_.Build(&d_has_child_, 64);
-    d_is_prefix_rank_.Build(&d_is_prefix_, 512);
-    s_has_child_rank_.Build(&s_has_child_, 512);
-    s_louds_rank_.Build(&s_louds_, 512);
-  } else {
-    d_labels_poppy_.Build(&d_labels_);
-    d_has_child_poppy_.Build(&d_has_child_);
-    d_is_prefix_poppy_.Build(&d_is_prefix_);
-    s_has_child_poppy_.Build(&s_has_child_);
-    s_louds_poppy_.Build(&s_louds_);
+  // ---- Phase 4: rank tables, sparse blocks and child pointers. ----
+  BuildDenseRank();
+  BuildSparse(flat);
+}
+
+void Fst::BuildDenseRank() {
+  d_labels_rank_.Build(&d_labels_, 64);
+  d_has_child_rank_.Build(&d_has_child_, 64);
+  d_is_prefix_rank_.Build(&d_is_prefix_, 512);
+}
+
+void Fst::BuildSparse(const SparseSequences& flat) {
+  constexpr size_t kL = SparseBlock::kLabels;
+  num_s_labels_ = flat.labels.size();
+  blocks_ = {};
+  dense_child_pos_ = {};
+  level_pos_start_ = {};
+  if (num_nodes_ == 0) return;
+  MET_ASSERT(num_s_labels_ < (size_t{1} << 32) - 2,
+             "sparse positions must fit the blocks' 32-bit child pointers");
+
+  // Labels and bits, plus S-LOUDS bits at num_s_labels_ and one past it:
+  // an empty terminator node that bounds every forward scan.
+  blocks_.assign((num_s_labels_ + 1) / kL + 1, SparseBlock{});
+  // Bits [pos, pos + 64) of `bv`, zero past its size.
+  auto bits_at = [](const BitVector& bv, size_t pos) -> uint64_t {
+    if (pos >= bv.size()) return 0;
+    size_t w = pos / 64, o = pos % 64;
+    uint64_t bits = bv.data()[w] >> o;
+    if (o != 0 && w + 1 < bv.num_words()) bits |= bv.data()[w + 1] << (64 - o);
+    size_t valid = bv.size() - pos;
+    return valid < 64 ? bits & ((uint64_t{1} << valid) - 1) : bits;
+  };
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    SparseBlock& blk = blocks_[b];
+    const size_t pos = b * kL;
+    if (pos < num_s_labels_)
+      std::copy_n(flat.labels.data() + pos, std::min(kL, num_s_labels_ - pos),
+                  blk.labels);
+    blk.has_child_lo = bits_at(flat.has_child, pos);
+    blk.has_child_hi = static_cast<uint32_t>(bits_at(flat.has_child, pos + 64));
+    blk.louds_lo = bits_at(flat.louds, pos);
+    blk.louds_hi = static_cast<uint32_t>(bits_at(flat.louds, pos + 64));
   }
-  if (config.fast_select && s_louds_.size() > 0) s_louds_select_.Build(&s_louds_, 64);
+  for (size_t i = num_s_labels_; i <= num_s_labels_ + 1; ++i) {
+    SparseBlock& blk = blocks_[i / kL];
+    size_t o = i % kL;
+    if (o < 64)
+      blk.louds_lo |= uint64_t{1} << o;
+    else
+      blk.louds_hi |= uint32_t{1} << (o - 64);
+  }
+
+  // Sparse node number -> start position, for nondecreasing node numbers
+  // (the terminator is node number sparse_nodes).
+  size_t cur_node = 0, cur_pos = 0, end = 0;
+  auto start_of = [&](size_t node) {
+    cur_pos = ResolveNode(cur_pos, node - cur_node, &end);
+    cur_node = node;
+    return cur_pos;
+  };
+  // The sparse nodes numbered below `first_sparse_child` are children of
+  // dense labels (or the root); the child of the sparse has-child label with
+  // rank r (0-based) is node first_sparse_child + r.
+  const size_t first_sparse_child = dense_child_count_ + 1 - dense_node_count_;
+  dense_child_pos_.resize(first_sparse_child + 1);
+  for (size_t n = 0; n <= first_sparse_child; ++n)
+    dense_child_pos_[n] = static_cast<uint32_t>(start_of(n));
+
+  uint32_t rank = 0;
+  for (SparseBlock& b : blocks_) {
+    b.rank = rank;
+    b.child_pos = static_cast<uint32_t>(start_of(first_sparse_child + rank));
+    rank += static_cast<uint32_t>(PopCount(b.has_child_lo) +
+                                  PopCount(b.has_child_hi));
+  }
+
+  cur_node = cur_pos = 0;
+  level_pos_start_.assign(level_node_start_.size(), 0);
+  for (size_t l = dense_levels_; l < level_pos_start_.size(); ++l)
+    level_pos_start_[l] = start_of(level_node_start_[l] - dense_node_count_);
 }
 
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
 
-size_t Fst::SelectLouds(size_t rank) const {
-  if (config_.fast_select) return s_louds_select_.Select1(rank);
-  // Baseline: binary search over rank (what generic succinct libraries do
-  // when no select index is built).
-  size_t lo = 0, hi = s_louds_.size() - 1;
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    size_t r = config_.fast_rank ? s_louds_rank_.Rank1(mid)
-                                 : s_louds_poppy_.Rank1(mid);
-    if (r < rank)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo;
-}
-
-size_t Fst::SparseNodeEnd(size_t start) const {
-  return s_louds_.NextSetBit(start + 1);
-}
-
 size_t Fst::DenseValuePos(size_t pos) const {
   return DenseRankLabels(pos) - DenseRankHasChild(pos) +
-         (config_.fast_rank ? d_is_prefix_rank_.Rank1(pos / 256)
-                            : d_is_prefix_poppy_.Rank1(pos / 256)) -
-         1;
+         d_is_prefix_rank_.Rank1(pos / 256) - 1;
 }
 
 size_t Fst::DensePrefixValuePos(size_t m) const {
   size_t labels_before = m > 0 ? DenseRankLabels(m * 256 - 1) : 0;
   size_t children_before = m > 0 ? DenseRankHasChild(m * 256 - 1) : 0;
-  size_t prefixes = config_.fast_rank ? d_is_prefix_rank_.Rank1(m)
-                                      : d_is_prefix_poppy_.Rank1(m);
-  return labels_before - children_before + prefixes - 1;
+  return labels_before - children_before + d_is_prefix_rank_.Rank1(m) - 1;
 }
 
-size_t Fst::SearchLabel(size_t start, size_t end, uint8_t byte) const {
-#ifdef MET_USE_SSE2
-  // SIMD pays off on wide nodes; >90% of nodes are tiny (Section 3.6) and a
-  // short byte loop wins there, so the vector path engages above 8 labels.
-  if (config_.simd_label_search && end - start > 8) {
-    // The label vector has 16 bytes of slack, so an unaligned 16-byte load
-    // at any logical position is safe; mask off bytes past `end`.
-    const __m128i needle = _mm_set1_epi8(static_cast<char>(byte));
-    for (size_t i = start; i < end; i += 16) {
-      __m128i hay =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&s_labels_[i]));
-      int mask = _mm_movemask_epi8(_mm_cmpeq_epi8(hay, needle));
-      size_t chunk = end - i;
-      if (chunk < 16) mask &= (1 << chunk) - 1;
-      if (mask != 0) return i + __builtin_ctz(mask);
-    }
-    return end;
+Fst::SparseSequences Fst::FlattenSparse() const {
+  SparseSequences flat{std::vector<uint8_t>(num_s_labels_),
+                       BitVector(num_s_labels_), BitVector(num_s_labels_)};
+  for (size_t i = 0; i < num_s_labels_; ++i) {
+    flat.labels[i] = SparseLabel(i);
+    if (SparseHasChild(i)) flat.has_child.Set(i);
+    if (SparseLouds(i)) flat.louds.Set(i);
   }
-#endif
-  for (size_t i = start; i < end; ++i)
-    if (s_labels_[i] == byte) return i;
-  return end;
+  return flat;
 }
 
 // ---------------------------------------------------------------------------
@@ -284,68 +305,12 @@ size_t Fst::SearchLabel(size_t start, size_t end, uint8_t byte) const {
 Fst::PathResult Fst::LookupPath(std::string_view key) const {
   PathResult res;
   if (num_leaves_ == 0) return res;
-  size_t node = 0;  // global node number
-  size_t level = 0;
-
-  while (level < dense_levels_) {
-    size_t m = node;
-    if (level == key.size()) {
-      if (d_is_prefix_.Get(m)) {
-        res.found = true;
-        res.leaf_id = static_cast<uint32_t>(DensePrefixValuePos(m));
-        res.depth = static_cast<uint32_t>(level);
-        res.is_prefix_leaf = true;
-      }
-      return res;
-    }
-    size_t pos = m * 256 + static_cast<uint8_t>(key[level]);
-    if (config_.prefetch)
-      __builtin_prefetch(d_has_child_.data() + pos / 64);
-    if (!d_labels_.Get(pos)) return res;
-    if (!d_has_child_.Get(pos)) {
-      res.found = true;
-      res.leaf_id = static_cast<uint32_t>(DenseValuePos(pos));
-      res.depth = static_cast<uint32_t>(level + 1);
-      return res;
-    }
-    node = DenseChildNodeNum(pos);
-    ++level;
-    if (node >= dense_node_count_) break;
+  Cursor c;
+  while (c.level < dense_levels_)
+    if (!DenseStep(key, &c, &res)) return res;
+  while (SparseStep(key, &c, &res)) {
   }
-
-  // Sparse levels.
-  size_t local = node - dense_node_count_;
-  size_t pos = SparseNodePos(local);
-  size_t end = SparseNodeEnd(pos);
-  while (true) {
-    bool marker = SparseHasMarker(pos, end);
-    if (level == key.size()) {
-      if (marker) {
-        res.found = true;
-        res.leaf_id =
-            static_cast<uint32_t>(dense_value_count_ + SparseValuePos(pos));
-        res.depth = static_cast<uint32_t>(level);
-        res.is_prefix_leaf = true;
-      }
-      return res;
-    }
-    uint8_t b = static_cast<uint8_t>(key[level]);
-    size_t p = SearchLabel(pos + (marker ? 1 : 0), end, b);
-    if (p == end) return res;
-    if (config_.prefetch)
-      __builtin_prefetch(s_has_child_.data() + p / 64);
-    if (!s_has_child_.Get(p)) {
-      res.found = true;
-      res.leaf_id =
-          static_cast<uint32_t>(dense_value_count_ + SparseValuePos(p));
-      res.depth = static_cast<uint32_t>(level + 1);
-      return res;
-    }
-    local = SparseChildNodeNum(p) - dense_node_count_;
-    pos = SparseNodePos(local);
-    end = SparseNodeEnd(pos);
-    ++level;
-  }
+  return res;
 }
 
 bool Fst::Lookup(std::string_view key, uint64_t* value) const {
@@ -376,10 +341,21 @@ void Fst::Iterator::ComputeLeafId() {
   }
 }
 
-void Fst::DescendToMin(Iterator* it, size_t node_num) const {
-  size_t node = node_num;
+size_t Fst::ChildOf(size_t pos, bool pos_dense, bool* dense) const {
+  if (!pos_dense) {
+    *dense = false;
+    return SparseChildPos(pos);
+  }
+  size_t child = DenseRankHasChild(pos);
+  *dense = child < dense_node_count_;
+  return *dense ? child : dense_child_pos_[child - dense_node_count_];
+}
+
+void Fst::DescendToMin(Iterator* it, size_t node, bool dense) const {
   while (true) {
-    if (node < dense_node_count_) {
+    size_t pos;
+    bool has_child;
+    if (dense) {
       size_t m = node;
       if (d_is_prefix_.Get(m)) {
         it->stack_.push_back({static_cast<uint32_t>(m * 256), true});
@@ -387,34 +363,28 @@ void Fst::DescendToMin(Iterator* it, size_t node_num) const {
         it->ComputeLeafId();
         return;
       }
-      size_t pos = d_labels_.NextSetBit(m * 256);
+      pos = d_labels_.NextSetBit(m * 256);
       MET_DCHECK(pos < (m + 1) * 256);
       it->stack_.push_back({static_cast<uint32_t>(pos), true});
       it->key_.push_back(static_cast<char>(pos % 256));
-      if (!d_has_child_.Get(pos)) {
-        it->at_prefix_ = false;
-        it->ComputeLeafId();
-        return;
-      }
-      node = DenseChildNodeNum(pos);
+      has_child = d_has_child_.Get(pos);
     } else {
-      size_t local = node - dense_node_count_;
-      size_t pos = SparseNodePos(local);
-      size_t end = SparseNodeEnd(pos);
+      pos = node;
       it->stack_.push_back({static_cast<uint32_t>(pos), false});
-      if (SparseHasMarker(pos, end)) {
+      if (SparseHasMarker(pos, SparseNodeEnd(pos))) {
         it->at_prefix_ = true;
         it->ComputeLeafId();
         return;
       }
-      it->key_.push_back(static_cast<char>(s_labels_[pos]));
-      if (!s_has_child_.Get(pos)) {
-        it->at_prefix_ = false;
-        it->ComputeLeafId();
-        return;
-      }
-      node = SparseChildNodeNum(pos);
+      it->key_.push_back(static_cast<char>(SparseLabel(pos)));
+      has_child = SparseHasChild(pos);
     }
+    if (!has_child) {
+      it->at_prefix_ = false;
+      it->ComputeLeafId();
+      return;
+    }
+    node = ChildOf(pos, dense, &dense);
   }
 }
 
@@ -431,9 +401,9 @@ bool Fst::AdvanceCursor(Iterator* it) const {
     return true;
   }
   size_t next = top.pos + 1;
-  if (next >= num_s_labels_ || s_louds_.Get(next)) return false;
+  if (SparseLouds(next)) return false;  // next node, or the terminator
   top.pos = static_cast<uint32_t>(next);
-  it->key_.back() = static_cast<char>(s_labels_[next]);
+  it->key_.back() = static_cast<char>(SparseLabel(next));
   return true;
 }
 
@@ -442,15 +412,15 @@ bool Fst::AdvanceCursor(Iterator* it) const {
 void Fst::CursorDescendOrLeaf(Iterator* it) const {
   const Iterator::LevelCursor& top = it->stack_.back();
   bool has_child =
-      top.dense ? d_has_child_.Get(top.pos) : s_has_child_.Get(top.pos);
+      top.dense ? d_has_child_.Get(top.pos) : SparseHasChild(top.pos);
   if (!has_child) {
     it->at_prefix_ = false;
     it->ComputeLeafId();
     return;
   }
-  size_t child = top.dense ? DenseChildNodeNum(top.pos)
-                           : SparseChildNodeNum(top.pos);
-  DescendToMin(it, child);
+  bool dense;
+  size_t child = ChildOf(top.pos, top.dense, &dense);
+  DescendToMin(it, child, dense);
 }
 
 void Fst::Iterator::Next() {
@@ -468,7 +438,7 @@ void Fst::Iterator::Next() {
       key_.push_back(static_cast<char>(pos % 256));
     } else {
       top.pos += 1;  // marker is at node start; a real label follows
-      key_.push_back(static_cast<char>(f->s_labels_[top.pos]));
+      key_.push_back(static_cast<char>(f->SparseLabel(top.pos)));
     }
     f->CursorDescendOrLeaf(this);
     return;
@@ -489,7 +459,7 @@ Fst::Iterator Fst::Begin() const {
   it.fst_ = this;
   if (num_leaves_ == 0) return it;
   it.valid_ = true;
-  DescendToMin(&it, 0);
+  DescendToMin(&it, 0, dense_levels_ > 0);  // the root is 0 either way
   return it;
 }
 
@@ -501,87 +471,54 @@ Fst::Iterator Fst::LowerBound(std::string_view key, bool* fp_flag) const {
   if (num_leaves_ == 0) return it;
   it.valid_ = true;
 
+  // Node: a dense node number while level < dense_levels_, else a sparse
+  // start position. The root is 0 either way.
   size_t node = 0;
   size_t level = 0;
   while (true) {
-    if (node < dense_node_count_) {
-      size_t m = node;
-      if (level == key.size()) {
-        DescendToMin(&it, m);
-        return it;
-      }
-      uint8_t b = static_cast<uint8_t>(key[level]);
-      size_t pos = m * 256 + b;
-      if (d_labels_.Get(pos)) {
-        it.stack_.push_back({static_cast<uint32_t>(pos), true});
-        it.key_.push_back(static_cast<char>(b));
-        if (d_has_child_.Get(pos)) {
-          node = DenseChildNodeNum(pos);
-          ++level;
-          continue;
-        }
-        // Terminal: stored path == key[0..level+1).
-        it.at_prefix_ = false;
-        it.ComputeLeafId();
-        bool strict_prefix = level + 1 < key.size();
-        if (strict_prefix) {
-          if (fp_flag != nullptr)
-            *fp_flag = true;
-          else
-            it.Next();  // index semantics: path < key, skip
-        }
-        return it;
-      }
-      // Smallest label greater than b within the node.
-      size_t next = d_labels_.NextSetBit(pos + 1);
-      if (next < (m + 1) * 256) {
-        it.stack_.push_back({static_cast<uint32_t>(next), true});
-        it.key_.push_back(static_cast<char>(next % 256));
-        CursorDescendOrLeaf(&it);
-        return it;
-      }
+    const bool dense = level < dense_levels_;
+    if (level == key.size()) {
+      DescendToMin(&it, node, dense);
+      return it;
+    }
+    const uint8_t b = static_cast<uint8_t>(key[level]);
+    size_t p, end;
+    if (dense) {
+      p = node * 256 + b;
+      end = (node + 1) * 256;
+      if (!d_labels_.Get(p)) p = d_labels_.NextSetBit(p + 1);
+    } else {
+      end = SparseNodeEnd(node);
+      // Real labels are sorted ascending in [node + marker, end).
+      p = node + (SparseHasMarker(node, end) ? 1 : 0);
+      while (p < end && SparseLabel(p) < b) ++p;
+    }
+    if (p >= end) {  // every label is < b: the answer is past this node
       AdvanceUp(&it);
       return it;
     }
-
-    size_t local = node - dense_node_count_;
-    size_t pos = SparseNodePos(local);
-    size_t end = SparseNodeEnd(pos);
-    bool marker = SparseHasMarker(pos, end);
-    if (level == key.size()) {
-      DescendToMin(&it, node);
-      return it;
-    }
-    uint8_t b = static_cast<uint8_t>(key[level]);
-    // Real labels are sorted ascending in [pos + marker, end).
-    size_t p = pos + (marker ? 1 : 0);
-    while (p < end && s_labels_[p] < b) ++p;
-    if (p < end && s_labels_[p] == b) {
-      it.stack_.push_back({static_cast<uint32_t>(p), false});
-      it.key_.push_back(static_cast<char>(b));
-      if (s_has_child_.Get(p)) {
-        node = SparseChildNodeNum(p);
-        ++level;
-        continue;
-      }
-      it.at_prefix_ = false;
-      it.ComputeLeafId();
-      bool strict_prefix = level + 1 < key.size();
-      if (strict_prefix) {
-        if (fp_flag != nullptr)
-          *fp_flag = true;
-        else
-          it.Next();
-      }
-      return it;
-    }
-    if (p < end) {  // label > b: everything below is > key
-      it.stack_.push_back({static_cast<uint32_t>(p), false});
-      it.key_.push_back(static_cast<char>(s_labels_[p]));
+    const uint8_t label = dense ? static_cast<uint8_t>(p % 256) : SparseLabel(p);
+    it.stack_.push_back({static_cast<uint32_t>(p), dense});
+    it.key_.push_back(static_cast<char>(label));
+    if (label != b) {  // label > b: everything below is > key
       CursorDescendOrLeaf(&it);
       return it;
     }
-    AdvanceUp(&it);
+    if (dense ? d_has_child_.Get(p) : SparseHasChild(p)) {
+      bool child_dense;
+      node = ChildOf(p, dense, &child_dense);
+      ++level;
+      continue;
+    }
+    // Terminal: stored path == key[0..level+1).
+    it.at_prefix_ = false;
+    it.ComputeLeafId();
+    if (level + 1 < key.size()) {  // the stored path is a strict prefix
+      if (fp_flag != nullptr)
+        *fp_flag = true;
+      else
+        it.Next();  // index semantics: path < key, skip
+    }
     return it;
   }
 }
@@ -621,10 +558,7 @@ uint64_t Fst::CountDenseLevelBefore(size_t l, uint64_t pos, bool include_marker,
   uint64_t children_before = rank_children(pos) - rank_children(level_start);
   // Markers among nodes < node_count.
   auto rank_prefix = [&](uint64_t node_count) -> uint64_t {
-    return node_count == 0
-               ? 0
-               : (config_.fast_rank ? d_is_prefix_rank_.Rank1(node_count - 1)
-                                    : d_is_prefix_poppy_.Rank1(node_count - 1));
+    return node_count == 0 ? 0 : d_is_prefix_rank_.Rank1(node_count - 1);
   };
   uint64_t markers = rank_prefix(m) - rank_prefix(level_node_start_[l]);
   if (include_marker && m < dense_node_count_ && d_is_prefix_.Get(m)) ++markers;
@@ -634,26 +568,11 @@ uint64_t Fst::CountDenseLevelBefore(size_t l, uint64_t pos, bool include_marker,
 
 uint64_t Fst::CountSparseLevelBefore(size_t l, uint64_t pos,
                                      bool include_pos_value) const {
-  bool dummy;
-  uint64_t level_start = NodeStartPos(level_node_start_[l], &dummy);
-  auto rank_children = [&](uint64_t p) {
-    return p == 0 ? 0 : SparseRankHasChild(p - 1);
-  };
+  uint64_t level_start = level_pos_start_[l];
   uint64_t labels_before = pos - level_start;
-  uint64_t children_before = rank_children(pos) - rank_children(level_start);
+  uint64_t children_before =
+      SparseHasChildBefore(pos) - SparseHasChildBefore(level_start);
   return labels_before - children_before + (include_pos_value ? 1 : 0);
-}
-
-uint64_t Fst::NodeStartPos(uint64_t node, bool* dense) const {
-  if (node < dense_node_count_) {
-    *dense = true;
-    return node * 256;
-  }
-  *dense = false;
-  uint64_t local = node - dense_node_count_;
-  uint64_t sparse_nodes = num_nodes_ - dense_node_count_;
-  if (local >= sparse_nodes) return num_s_labels_;
-  return SparseNodePos(local);
 }
 
 void Fst::ComputeFrontier(std::string_view key,
@@ -661,101 +580,72 @@ void Fst::ComputeFrontier(std::string_view key,
   counts->assign(height_, 0);
   if (num_leaves_ == 0) return;
 
+  // Node: a dense node number while level < dense_levels_, else a sparse
+  // start position (the root is 0 either way). The descent stops at
+  // `stop_pos`, a dense bit position or a sparse label position.
   size_t node = 0;
   size_t level = 0;
   uint64_t stop_pos = 0;
-  size_t stop_level = 0;
-
   while (true) {
-    bool is_dense = node < dense_node_count_;
-    if (is_dense) {
-      size_t m = node;
-      if (level == key.size()) {
-        // Everything in this subtree (marker included) sorts >= key.
-        (*counts)[level] = CountDenseLevelBefore(level, m * 256, false, false);
-        stop_pos = m * 256;
-        stop_level = level;
-        break;
-      }
-      uint8_t b = static_cast<uint8_t>(key[level]);
-      uint64_t pos = m * 256 + b;
-      if (!d_labels_.Get(pos)) {
-        (*counts)[level] = CountDenseLevelBefore(level, pos, true, false);
-        stop_pos = pos;
-        stop_level = level;
-        break;
-      }
-      if (!d_has_child_.Get(pos)) {
-        bool strict_prefix = level + 1 < key.size();
-        (*counts)[level] =
-            CountDenseLevelBefore(level, pos, true, strict_prefix);
-        stop_pos = pos;
-        stop_level = level;
-        break;
-      }
-      (*counts)[level] = CountDenseLevelBefore(level, pos, true, false);
-      node = DenseChildNodeNum(pos);
-      ++level;
-    } else {
-      size_t local = node - dense_node_count_;
-      uint64_t pos = SparseNodePos(local);
-      uint64_t end = SparseNodeEnd(pos);
-      bool marker = SparseHasMarker(pos, end);
-      if (level == key.size()) {
-        (*counts)[level] = CountSparseLevelBefore(level, pos, false);
-        stop_pos = pos;
-        stop_level = level;
-        break;
-      }
-      uint8_t b = static_cast<uint8_t>(key[level]);
-      uint64_t p = pos + (marker ? 1 : 0);
-      while (p < end && s_labels_[p] < b) ++p;
-      if (p == end || s_labels_[p] != b) {
-        (*counts)[level] = CountSparseLevelBefore(level, p, false);
-        stop_pos = p;
-        stop_level = level;
-        break;
-      }
-      if (!s_has_child_.Get(p)) {
-        bool strict_prefix = level + 1 < key.size();
-        (*counts)[level] = CountSparseLevelBefore(level, p, strict_prefix);
-        stop_pos = p;
-        stop_level = level;
-        break;
-      }
-      (*counts)[level] = CountSparseLevelBefore(level, p, false);
-      node = SparseChildNodeNum(p);
-      ++level;
+    const bool dense = level < dense_levels_;
+    auto count_before = [&](uint64_t pos, bool include_marker,
+                            bool include_pos_value) {
+      (*counts)[level] =
+          dense ? CountDenseLevelBefore(level, pos, include_marker,
+                                        include_pos_value)
+                : CountSparseLevelBefore(level, pos, include_pos_value);
+    };
+    if (level == key.size()) {
+      // Everything in this subtree (marker included) sorts >= key.
+      stop_pos = dense ? node * 256 : node;
+      count_before(stop_pos, false, false);
+      break;
     }
+    const uint8_t b = static_cast<uint8_t>(key[level]);
+    uint64_t p;
+    bool match, has_child;
+    if (dense) {
+      p = node * 256 + b;
+      match = d_labels_.Get(p);
+      has_child = match && d_has_child_.Get(p);
+    } else {
+      size_t end = SparseNodeEnd(node);
+      p = node + (SparseHasMarker(node, end) ? 1 : 0);
+      while (p < end && SparseLabel(p) < b) ++p;
+      match = p < end && SparseLabel(p) == b;
+      has_child = match && SparseHasChild(p);
+    }
+    stop_pos = p;
+    if (!has_child) {
+      // A terminal whose path is a strict prefix of key sorts before it.
+      count_before(p, true, match && level + 1 < key.size());
+      break;
+    }
+    count_before(p, true, false);
+    bool child_dense;
+    node = ChildOf(p, dense, &child_dense);
+    ++level;
   }
 
   // Extend the frontier to deeper levels: the next subtree boundary is the
   // child of the first has-child branch at-or-after the stop position,
   // clamped to the level bounds.
   uint64_t q = stop_pos;
-  for (size_t l = stop_level; l + 1 < height_; ++l) {
-    bool is_dense_level = l < dense_levels_;
-    uint64_t children_before;
-    if (is_dense_level) {
-      children_before = q == 0 ? 0 : DenseRankHasChild(q - 1);
+  for (size_t l = level; l + 1 < height_; ++l) {
+    if (l < dense_levels_) {
+      uint64_t child_node = (q == 0 ? 0 : DenseRankHasChild(q - 1)) + 1;
+      child_node = std::min<uint64_t>(child_node, level_node_start_[l + 2]);
+      // A clamped boundary node may itself live past the dense/sparse split.
+      if (l + 1 < dense_levels_) {
+        q = child_node * 256;
+        (*counts)[l + 1] = CountDenseLevelBefore(l + 1, q, false, false);
+        continue;
+      }
+      q = dense_child_pos_[child_node - dense_node_count_];
     } else {
-      children_before =
-          dense_child_count_ + (q == 0 ? 0 : SparseRankHasChild(q - 1));
+      q = std::min<uint64_t>(SparseChildPos(q), level_pos_start_[l + 2]);
     }
-    uint64_t child_node = children_before + 1;
-    uint64_t clamp = level_node_start_[l + 2];
-    if (child_node > clamp) child_node = clamp;
-    // Express the child-node boundary in level l+1's own coordinate space
-    // (a clamped boundary node may itself live past the dense/sparse split).
-    if (l + 1 < dense_levels_) {
-      q = child_node * 256;
-      (*counts)[l + 1] = CountDenseLevelBefore(l + 1, q, false, false);
-    } else {
-      uint64_t local = child_node - dense_node_count_;
-      uint64_t sparse_nodes = num_nodes_ - dense_node_count_;
-      q = local >= sparse_nodes ? num_s_labels_ : SparseNodePos(local);
-      (*counts)[l + 1] = CountSparseLevelBefore(l + 1, q, false);
-    }
+    (*counts)[l + 1] = CountSparseLevelBefore(l + 1, q, false);
   }
 }
 
@@ -778,53 +668,33 @@ uint64_t Fst::CountRange(std::string_view low_key,
 // ---------------------------------------------------------------------------
 
 size_t Fst::FilterMemoryBytes() const {
-  size_t bytes = d_labels_.MemoryBytes() + d_has_child_.MemoryBytes() +
-                 d_is_prefix_.MemoryBytes() + s_labels_.capacity() +
-                 s_has_child_.MemoryBytes() + s_louds_.MemoryBytes();
-  if (config_.fast_rank) {
-    bytes += d_labels_rank_.MemoryBytes() + d_has_child_rank_.MemoryBytes() +
-             d_is_prefix_rank_.MemoryBytes() + s_has_child_rank_.MemoryBytes() +
-             s_louds_rank_.MemoryBytes();
-  } else {
-    bytes += d_labels_poppy_.MemoryBytes() + d_has_child_poppy_.MemoryBytes() +
-             d_is_prefix_poppy_.MemoryBytes() +
-             s_has_child_poppy_.MemoryBytes() + s_louds_poppy_.MemoryBytes();
-  }
-  if (config_.fast_select) bytes += s_louds_select_.MemoryBytes();
-  return bytes;
+  return FilterBreakdown().TotalBytes();
 }
 
 size_t Fst::MemoryBytes() const {
   return FilterMemoryBytes() + values_.capacity() * sizeof(uint64_t);
 }
 
-// Same terms as FilterMemoryBytes(), attributed per encoding component.
 MemoryBreakdown Fst::FilterBreakdown() const {
   MemoryBreakdown b("fst_filter");
   MemoryBreakdown& dense = b.Add("louds_dense");
   dense.Add("labels", d_labels_.MemoryBytes());
   dense.Add("has_child", d_has_child_.MemoryBytes());
   dense.Add("is_prefix", d_is_prefix_.MemoryBytes());
+  dense.Add("rank", d_labels_rank_.MemoryBytes() +
+                        d_has_child_rank_.MemoryBytes() +
+                        d_is_prefix_rank_.MemoryBytes());
+  dense.Add("sparse_child_pos", dense_child_pos_.capacity() * sizeof(uint32_t));
+  // Each block field's share of the block array (capacity, in whole blocks).
+  const size_t blocks = blocks_.capacity();
   MemoryBreakdown& sparse = b.Add("louds_sparse");
-  sparse.Add("labels", s_labels_.capacity());
-  sparse.Add("has_child", s_has_child_.MemoryBytes());
-  sparse.Add("louds", s_louds_.MemoryBytes());
-  MemoryBreakdown& rank = b.Add("rank_support");
-  if (config_.fast_rank) {
-    rank.Add("d_labels", d_labels_rank_.MemoryBytes());
-    rank.Add("d_has_child", d_has_child_rank_.MemoryBytes());
-    rank.Add("d_is_prefix", d_is_prefix_rank_.MemoryBytes());
-    rank.Add("s_has_child", s_has_child_rank_.MemoryBytes());
-    rank.Add("s_louds", s_louds_rank_.MemoryBytes());
-  } else {
-    rank.Add("d_labels", d_labels_poppy_.MemoryBytes());
-    rank.Add("d_has_child", d_has_child_poppy_.MemoryBytes());
-    rank.Add("d_is_prefix", d_is_prefix_poppy_.MemoryBytes());
-    rank.Add("s_has_child", s_has_child_poppy_.MemoryBytes());
-    rank.Add("s_louds", s_louds_poppy_.MemoryBytes());
-  }
-  if (config_.fast_select)
-    b.Add("select_support", s_louds_select_.MemoryBytes());
+  sparse.Add("labels", blocks * SparseBlock::kLabels);
+  sparse.Add("has_child", blocks * SparseBlock::kLabels / 8);
+  sparse.Add("louds", blocks * SparseBlock::kLabels / 8);
+  sparse.Add("rank", blocks * sizeof(uint32_t));
+  sparse.Add("child_pos", blocks * sizeof(uint32_t));
+  b.Add("level_starts", (level_node_start_.capacity() +
+                         level_pos_start_.capacity()) * sizeof(uint64_t));
   return b;
 }
 

@@ -1,26 +1,30 @@
 // Fast Succinct Trie (Chapter 3): a static trie encoded with LOUDS-DS —
 // LOUDS-Dense (bitmap-per-node) for the hot upper levels and LOUDS-Sparse
-// (10 bits/node) for the lower levels — with FST's customized rank & select
-// structures, SIMD label search and prefetching.
+// for the lower levels.
 //
-// The encoding follows the thesis exactly:
+// The encoding follows the thesis:
 //  * LOUDS-Dense per node: 256-bit D-Labels, 256-bit D-HasChild, 1-bit
 //    D-IsPrefixKey; values for terminating branches in level order.
 //  * LOUDS-Sparse per label: S-Labels byte, S-HasChild bit, S-LOUDS bit
 //    (set at node starts). A key that is a proper prefix of another key is
 //    represented by the special 0xFF label at the start of its node.
-//  * Navigation:  D-ChildNodePos(pos)  = 256 * rank1(D-HasChild, pos)
-//                 S-ChildNodePos(pos)  = select1(S-LOUDS,
-//                                          rank1(S-HasChild, pos) + 1)
-//    with rank1 counting bits in [0, pos] and select1 1-based, plus the
-//    dense->sparse adjustment via DenseNodeCount/DenseChildCount.
 //
-// Every optimization of Section 3.6 can be disabled through FstConfig so the
-// Figure 3.6 breakdown is reproducible; with everything off the structure
-// behaves like an earlier-generation LOUDS-Sparse trie.
+// LOUDS-Sparse is stored as one array of 128-byte, cache-line-aligned
+// blocks rather than three parallel sequences with separate rank and select
+// tables. A block holds 96 consecutive labels, their S-HasChild and S-LOUDS
+// bits, the S-HasChild rank at the block start, and the start position of
+// the child node of the first has-child label at or after the block start
+// (10.67 bits per label, everything included). One sparse descent step
+// reads the block holding the node for the label search, the has-child test
+// and the value rank, then reaches the child by skipping fewer than 96 node
+// starts forward from the block's child pointer: the scan usually ends in
+// the block the next step reads anyway, so a step costs about one miss. The
+// dense-to-sparse handoff uses a per-child start array, so no lookup touches
+// a select table.
 #ifndef MET_FST_FST_H_
 #define MET_FST_FST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -29,7 +33,6 @@
 
 #include "bitvec/bitvector.h"
 #include "bitvec/rank.h"
-#include "bitvec/select.h"
 #include "check/fwd.h"
 #include "common/assert.h"
 #include "common/index_api.h"
@@ -51,12 +54,6 @@ struct FstConfig {
   /// -1: choose dense levels automatically via size_ratio. 0: sparse-only.
   /// k>0: force exactly min(k, height) dense levels.
   int max_dense_levels = -1;
-
-  /// Section 3.6 optimizations, individually toggleable (Figure 3.6).
-  bool fast_rank = true;    // single-level LUT rank vs Poppy-style baseline
-  bool fast_select = true;  // sampled select LUT vs binary search over rank
-  bool simd_label_search = true;
-  bool prefetch = true;
 
   /// Store a 64-bit value per key. SuRF disables this and keeps its own
   /// per-leaf suffix arrays addressed by leaf id.
@@ -107,9 +104,10 @@ class Fst {
   /// Batched LookupPath (the met::batch pipeline, impl in fst_batch.cc):
   /// runs up to 16 keys at a time as interleaved state machines, issuing a
   /// software prefetch for the lines each probe's *next* descent step will
-  /// touch (dense bitmap words + rank LUT entries, the S-LOUDS select LUT
-  /// and scan window, sparse label/has-child lines). out[i] is identical to
-  /// LookupPath(keys[i]) — asserted in checked builds.
+  /// touch (dense bitmap words + rank LUT entries, or the sparse block the
+  /// child scan starts in). Each round runs the same per-level step as
+  /// LookupPath, so out[i] is identical to LookupPath(keys[i]) — asserted in
+  /// checked builds.
   void LookupPathBatch(const std::string_view* keys, size_t n,
                        PathResult* out) const;
 
@@ -178,13 +176,16 @@ class Fst {
   size_t height() const { return height_; }
   size_t dense_levels() const { return dense_levels_; }
 
-  /// Total encoded size (bit/byte sequences + rank/select LUTs + values).
+  /// Total encoded size (dense bitmaps and their rank LUTs, sparse blocks,
+  /// dense-to-sparse child pointers, values).
   size_t MemoryBytes() const;
   size_t MemoryUse() const { return MemoryBytes(); }
 
-  /// Appends a self-contained binary image of the trie to `*out`. Rank and
-  /// select supports are rebuilt on load, so the format stays small and
-  /// version-stable.
+  /// Appends a self-contained binary image of the trie to `*out`: the dense
+  /// bitmaps, the sparse labels, S-HasChild and S-LOUDS as flat sequences,
+  /// the values and the per-level node counts. Rank tables, sparse blocks
+  /// and child pointers are rebuilt on load, so the format does not depend
+  /// on the in-memory layout.
   void Serialize(std::string* out) const;
 
   /// Restores a trie from `Serialize` output. Returns false (leaving the
@@ -194,8 +195,8 @@ class Fst {
   /// Memory excluding the value array (the filter footprint).
   size_t FilterMemoryBytes() const;
 
-  /// Component attribution (dense/sparse encodings, rank & select supports,
-  /// values); TotalBytes() == MemoryBytes() (same terms).
+  /// Component attribution (dense encoding, sparse blocks by field, rank
+  /// support, child pointers, values); TotalBytes() == MemoryBytes().
   MemoryBreakdown Breakdown() const;
 
   /// Breakdown of FilterMemoryBytes() only (no value array); SuRF embeds
@@ -204,8 +205,9 @@ class Fst {
 
   /// Cross-checks the LOUDS-Dense/Sparse encodings: bit-sequence sizes,
   /// D-HasChild ⊆ D-Labels, child-pointer bijection (#has-child bits ==
-  /// #nodes - 1), rank/select inverses over S-LOUDS, 0xFF-marker placement,
-  /// leaf/value accounting, and a full ordered iterator/Lookup round trip.
+  /// #nodes - 1), every block's inline rank and child pointer against a
+  /// naive scan, 0xFF-marker placement, leaf/value accounting, and a full
+  /// ordered iterator/Lookup round trip.
   /// No-op unless MET_CHECK_ENABLED (impl in check/fst_check.cc).
   bool Validate(std::ostream& os) const {
 #if MET_CHECK_ENABLED
@@ -216,14 +218,17 @@ class Fst {
 #endif
   }
 
-  // Test-only access to the raw encoding (validated against the thesis's
-  // Figure 3.2 worked example).
-  std::vector<uint8_t> SparseLabelsForTest() const {
-    return std::vector<uint8_t>(s_labels_.begin(),
-                                s_labels_.begin() + num_s_labels_);
-  }
-  const BitVector& SparseHasChildForTest() const { return s_has_child_; }
-  const BitVector& SparseLoudsForTest() const { return s_louds_; }
+  /// LOUDS-Sparse as the thesis's three flat sequences, in level order.
+  struct SparseSequences {
+    std::vector<uint8_t> labels;  // S-Labels
+    BitVector has_child;          // S-HasChild
+    BitVector louds;              // S-LOUDS
+  };
+  /// Flattens the sparse blocks back into the three sequences (Serialize,
+  /// the validator, and tests against the thesis's Figure 3.2 example).
+  SparseSequences FlattenSparse() const;
+
+  // Test-only access to the dense encoding (Figure 3.2 example).
   const BitVector& DenseLabelsForTest() const { return d_labels_; }
   const BitVector& DenseIsPrefixForTest() const { return d_is_prefix_; }
 
@@ -232,51 +237,104 @@ class Fst {
   friend struct check::TestAccess;
   bool CheckValidate(std::ostream& os) const;  // check/fst_check.cc
 
-  // ----- rank/select wrappers honouring the config toggles -----
-  size_t RankD(const RankSupport& fast, const PoppyRank& slow, size_t pos) const {
-    return config_.fast_rank ? fast.Rank1(pos) : slow.Rank1(pos);
-  }
-  size_t SelectLouds(size_t rank) const;  // 1-based over S-LOUDS
+  /// 96 consecutive LOUDS-Sparse labels in one 128-byte block (two cache
+  /// lines). Bit i of a sequence is bit i of `*_lo` for i < 64, else bit
+  /// i - 64 of `*_hi`.
+  struct alignas(128) SparseBlock {
+    static constexpr size_t kLabels = 96;
+    uint8_t labels[kLabels];
+    uint64_t has_child_lo;
+    uint64_t louds_lo;
+    uint32_t has_child_hi;
+    uint32_t louds_hi;
+    /// S-HasChild set bits before the block's first label.
+    uint32_t rank;
+    /// Start position of the child node of the first has-child label at or
+    /// after the block's first label (the S-LOUDS terminator if none).
+    uint32_t child_pos;
+  };
+  static_assert(sizeof(SparseBlock) == 128, "a block is two cache lines");
+  static_assert(offsetof(SparseBlock, labels) == 0,
+                "SearchLabel's 16-byte loads rely on labels coming first");
+
+  /// Descent state shared by the scalar and batched lookups (one per-level
+  /// step, fst/fst_step.h). Above dense_levels_, `node` is a dense node
+  /// number; below, the node starts `skip` node starts at or after label
+  /// position `node` (0 = at `node` itself). The default is the root.
+  struct Cursor {
+    size_t node = 0;
+    size_t skip = 0;
+    size_t level = 0;
+  };
+  /// Advances `c` one level along `key`. Returns false when the descent
+  /// ends; *res then holds the result.
+  bool Step(std::string_view key, Cursor* c, PathResult* res) const;
+  bool DenseStep(std::string_view key, Cursor* c, PathResult* res) const;
+  bool SparseStep(std::string_view key, Cursor* c, PathResult* res) const;
+  /// Prefetches the lines Step(key, c) will read first (met::batch).
+  void PrefetchStep(std::string_view key, const Cursor& c) const;
+  /// Prefetches the block holding base + skip and, if the node scan starts
+  /// in an earlier block, that block's LOUDS line. Every node has a label,
+  /// so the node starts at base + skip or later: exactly there in chains of
+  /// single-label nodes, the common case deep in a trie. When the skip
+  /// crosses a block boundary both blocks then load in parallel, not one
+  /// after the other.
+  void PrefetchSparseNode(size_t base, size_t skip) const;
 
   // ----- dense helpers -----
-  bool DenseLabel(size_t pos) const { return d_labels_.Get(pos); }
-  size_t DenseRankLabels(size_t pos) const {
-    return RankD(d_labels_rank_, d_labels_poppy_, pos);
-  }
+  size_t DenseRankLabels(size_t pos) const { return d_labels_rank_.Rank1(pos); }
   size_t DenseRankHasChild(size_t pos) const {
-    return RankD(d_has_child_rank_, d_has_child_poppy_, pos);
+    return d_has_child_rank_.Rank1(pos);
   }
   /// Value index for a terminating dense branch at `pos`.
   size_t DenseValuePos(size_t pos) const;
   /// Value index for the prefix-key of dense node `m`.
   size_t DensePrefixValuePos(size_t m) const;
 
-  // ----- sparse helpers -----
-  /// [start, end) label range of the sparse node beginning at `start`.
-  size_t SparseNodeEnd(size_t start) const;
-  /// Position of sparse node number `n` (0-based among sparse nodes).
-  size_t SparseNodePos(size_t n) const { return SelectLouds(n + 1); }
-  size_t SparseRankHasChild(size_t pos) const {
-    return RankD(s_has_child_rank_, s_has_child_poppy_, pos);
+  // ----- sparse helpers (positions are label indexes) -----
+  const SparseBlock& BlockOf(size_t pos) const {
+    return blocks_[pos / SparseBlock::kLabels];
   }
+  uint8_t SparseLabel(size_t pos) const {
+    return BlockOf(pos).labels[pos % SparseBlock::kLabels];
+  }
+  bool SparseHasChild(size_t pos) const;
+  bool SparseLouds(size_t pos) const;
+  /// S-HasChild set bits in [0, pos).
+  size_t SparseHasChildBefore(size_t pos) const;
   size_t SparseValuePos(size_t pos) const {
-    return pos - SparseRankHasChild(pos);
+    return pos - SparseHasChildBefore(pos);
   }
-  /// Searches labels [start+skip, end) for `byte`; returns end if absent.
+  /// Start of the node `skip` node starts at or after `base` (a node start
+  /// or the terminator) and, through *end, one past its last label.
+  size_t ResolveNode(size_t base, size_t skip, size_t* end) const;
+  size_t SparseNodeEnd(size_t start) const {
+    size_t end = 0;
+    ResolveNode(start, 0, &end);
+    return end;
+  }
+  /// Start of the child node of the first has-child label at or after
+  /// `pos` (num_s_labels_ if there is none).
+  size_t SparseChildPos(size_t pos) const;
+  /// Searches labels [start, end) for `byte`; returns end if absent.
   size_t SearchLabel(size_t start, size_t end, uint8_t byte) const;
-  /// True if the node starting at `start` begins with a 0xFF prefix marker.
+  /// True if the node [start, end) begins with a 0xFF prefix marker.
   bool SparseHasMarker(size_t start, size_t end) const {
-    return end - start >= 2 && s_labels_[start] == 0xFF;
+    return end - start >= 2 && SparseLabel(start) == 0xFF;
   }
 
-  /// Child node number (global, level-ordered) for a branch position.
-  size_t DenseChildNodeNum(size_t pos) const { return DenseRankHasChild(pos); }
-  size_t SparseChildNodeNum(size_t pos) const {
-    return dense_child_count_ + SparseRankHasChild(pos);
-  }
+  /// Packs the flat sparse sequences into blocks_ and derives the block
+  /// ranks and child pointers, the dense-to-sparse child pointers and the
+  /// per-level sparse start positions. Shared by Build and Deserialize.
+  void BuildSparse(const SparseSequences& flat);
+  /// The dense rank tables (Build and Deserialize).
+  void BuildDenseRank();
 
-  // Iterator helpers.
-  void DescendToMin(Iterator* it, size_t node_num) const;
+  // Iterator helpers. A node is a dense node number (dense == true) or a
+  // sparse start position.
+  void DescendToMin(Iterator* it, size_t node, bool dense) const;
+  /// Child of the has-child branch at `pos`; sets *dense for the child.
+  size_t ChildOf(size_t pos, bool pos_dense, bool* dense) const;
   bool AdvanceCursor(Iterator* it) const;  // advance deepest cursor in-node
   void CursorDescendOrLeaf(Iterator* it) const;
   void AdvanceUp(Iterator* it) const;
@@ -288,9 +346,6 @@ class Fst {
                                  bool include_pos_value) const;
   uint64_t CountSparseLevelBefore(size_t l, uint64_t pos,
                                   bool include_pos_value) const;
-  /// Start position of global node `node` (clamped: one-past-last maps to
-  /// the end of the label space). Sets *dense accordingly.
-  uint64_t NodeStartPos(uint64_t node, bool* dense) const;
 
   /// Per-level counts of leaves sorting strictly before a key.
   void ComputeFrontier(std::string_view key, std::vector<uint64_t>* counts) const;
@@ -300,21 +355,21 @@ class Fst {
   // Dense encoding.
   BitVector d_labels_, d_has_child_, d_is_prefix_;
   RankSupport d_labels_rank_, d_has_child_rank_, d_is_prefix_rank_;
-  PoppyRank d_labels_poppy_, d_has_child_poppy_, d_is_prefix_poppy_;
   size_t dense_levels_ = 0;
   size_t dense_node_count_ = 0;
   size_t dense_child_count_ = 0;  // set bits in D-HasChild
   size_t dense_value_count_ = 0;
+  /// Start position of each sparse node that is a child of a dense label
+  /// (the root if there are no dense levels), in node order, plus the start
+  /// of the next level as a sentinel.
+  std::vector<uint32_t> dense_child_pos_;
 
-  // Sparse encoding. The label vector is padded with 16 slack bytes so the
-  // SIMD label search can always issue one unaligned 16-byte load;
-  // num_s_labels_ is the logical size.
-  std::vector<uint8_t> s_labels_;
+  // Sparse encoding: num_s_labels_ labels in (num_s_labels_ + 1) / 96 + 1
+  // blocks. Positions num_s_labels_ and num_s_labels_ + 1 hold S-LOUDS bits
+  // (an empty terminator node), so every node has an end and every child
+  // pointer a target.
+  std::vector<SparseBlock> blocks_;
   size_t num_s_labels_ = 0;
-  BitVector s_has_child_, s_louds_;
-  RankSupport s_has_child_rank_, s_louds_rank_;
-  PoppyRank s_has_child_poppy_, s_louds_poppy_;
-  SelectSupport s_louds_select_;
 
   // Values, [dense leaves..., sparse leaves...] by leaf id.
   std::vector<uint64_t> values_;
@@ -322,6 +377,9 @@ class Fst {
   // Global node number of the first node at each level, with two sentinel
   // entries past the last level (for CountRange frontier extension).
   std::vector<uint64_t> level_node_start_;
+  // Sparse labels in the levels before each level (0 for dense levels),
+  // same shape and sentinels as level_node_start_.
+  std::vector<uint64_t> level_pos_start_;
 
   size_t num_keys_ = 0;
   size_t num_leaves_ = 0;

@@ -1,194 +1,32 @@
 // Batched FST lookup (the met::batch pipeline).
 //
 // A point lookup is a chain of dependent cache misses: each descent step
-// reads bitmap words and rank/select table entries whose addresses are only
-// known after the previous step resolves. One probe therefore spends most of
-// its time stalled. LookupPathBatch runs a group of 16 probes as interleaved
-// state machines: each round advances every live probe by one stage, and a
-// probe issues the software prefetches for its *next* stage before yielding,
+// reads lines whose addresses are only known after the previous step
+// resolves. One probe therefore spends most of its time stalled.
+// LookupPathBatch runs a group of 16 probes as interleaved state machines:
+// each round advances every live probe by one level with the same per-level
+// step the scalar LookupPath runs (Fst::Step, fst/fst_step.h), and a probe
+// then issues the software prefetches for its *next* step before yielding,
 // so its lines stream in while the other 15 probes execute (AMAC-style group
 // prefetching; see DESIGN.md "Batched execution").
 //
-// Stages per probe:
-//   kDense      one LOUDS-Dense level: D-Labels/D-HasChild bit tests plus
-//               the child rank. Next-stage prefetch: the bitmap words and
-//               rank-LUT entries for the child position (dense), or the
-//               S-LOUDS select LUT entry (dense->sparse handoff).
-//   kSelect     reads the select LUT sample and prefetches the S-LOUDS scan
-//               window (skipped when fast_select is off — the binary-search
-//               fallback has no prefetchable shape).
-//   kSelectScan resolves select1(S-LOUDS, rank) + the node's [pos, end)
-//               range; prefetches the node's S-Labels lines, S-HasChild word
-//               and rank-LUT entry.
-//   kSparse     one LOUDS-Sparse level: marker check, label search,
-//               S-HasChild test, child rank.
-//
-// The compute steps are verbatim copies of the scalar LookupPath loop bodies
-// and the terminal paths call the same helpers, so batched results are
-// bit-identical to scalar ones; checked builds assert that per key.
+// The next step's lines are the D-Labels/D-HasChild words and rank-LUT
+// entries of a dense level, or the sparse block the child scan starts in
+// (which, for most nodes, also holds the child's labels). Results are
+// bit-identical to scalar ones by construction; checked builds assert that
+// per key.
 #include <algorithm>
 
-#include "common/prefetch.h"
 #include "fst/fst.h"
+#include "fst/fst_step.h"
 #include "obs/metrics.h"
 
 namespace met {
-
-namespace {
-
-enum class Stage : uint8_t { kDense, kSelect, kSelectScan, kSparse, kDone };
-
-struct Probe {
-  std::string_view key;
-  Fst::PathResult* out;
-  size_t node;   // kDense: global node number
-  size_t level;  // key bytes consumed
-  size_t pos;    // kSparse: node start label index
-  size_t end;    // kSparse: node end (one past last label)
-  size_t rank;   // kSelect/kSelectScan: pending 1-based S-LOUDS select rank
-  Stage stage;
-};
-
-}  // namespace
 
 void Fst::LookupPathBatch(const std::string_view* keys, size_t n,
                           PathResult* out) const {
   for (size_t i = 0; i < n; ++i) out[i] = PathResult{};
   if (n == 0 || num_leaves_ == 0) return;
-
-  // Prefetches for the lines a probe's next stage will touch. Issued when a
-  // probe transitions into that stage, consumed one round later.
-  auto prefetch_dense = [&](const Probe& pr) {
-    size_t m = pr.node;
-    if (pr.level == pr.key.size()) {
-      PrefetchRead(d_is_prefix_.data() + m / 64);
-      return;
-    }
-    size_t pos = m * 256 + static_cast<uint8_t>(pr.key[pr.level]);
-    PrefetchRead(d_labels_.data() + pos / 64);
-    PrefetchRead(d_has_child_.data() + pos / 64);
-    if (config_.fast_rank) {
-      d_labels_rank_.PrefetchRank1(pos);
-      d_has_child_rank_.PrefetchRank1(pos);
-    } else {
-      d_labels_poppy_.PrefetchRank1(pos);
-      d_has_child_poppy_.PrefetchRank1(pos);
-    }
-  };
-  auto prefetch_select = [&](size_t rank) {
-    if (config_.fast_select) s_louds_select_.PrefetchLut(rank);
-  };
-  auto prefetch_sparse_node = [&](const Probe& pr) {
-    // Nodes are short (>90% under 8 labels): the first and last label lines
-    // cover the search range; wider nodes stream behind the SIMD scan.
-    PrefetchRead(&s_labels_[pr.pos]);
-    PrefetchRead(&s_labels_[pr.end - 1]);
-    PrefetchRead(s_has_child_.data() + pr.pos / 64);
-    if (config_.fast_rank) {
-      s_has_child_rank_.PrefetchRank1(pr.pos);
-    } else {
-      s_has_child_poppy_.PrefetchRank1(pr.pos);
-    }
-  };
-
-  // kSelectScan's work, also run directly from kSelect when fast_select is
-  // off (nothing to prefetch between the two in that configuration).
-  auto select_scan = [&](Probe& pr) {
-    pr.pos = SelectLouds(pr.rank);
-    pr.end = SparseNodeEnd(pr.pos);
-    pr.stage = Stage::kSparse;
-    prefetch_sparse_node(pr);
-  };
-
-  auto step = [&](Probe& pr) {
-    switch (pr.stage) {
-      case Stage::kDense: {
-        size_t m = pr.node;
-        if (pr.level == pr.key.size()) {
-          if (d_is_prefix_.Get(m)) {
-            pr.out->found = true;
-            pr.out->leaf_id = static_cast<uint32_t>(DensePrefixValuePos(m));
-            pr.out->depth = static_cast<uint32_t>(pr.level);
-            pr.out->is_prefix_leaf = true;
-          }
-          pr.stage = Stage::kDone;
-          return;
-        }
-        size_t pos = m * 256 + static_cast<uint8_t>(pr.key[pr.level]);
-        if (!d_labels_.Get(pos)) {
-          pr.stage = Stage::kDone;
-          return;
-        }
-        if (!d_has_child_.Get(pos)) {
-          pr.out->found = true;
-          pr.out->leaf_id = static_cast<uint32_t>(DenseValuePos(pos));
-          pr.out->depth = static_cast<uint32_t>(pr.level + 1);
-          pr.stage = Stage::kDone;
-          return;
-        }
-        pr.node = DenseChildNodeNum(pos);
-        ++pr.level;
-        if (pr.level < dense_levels_ && pr.node < dense_node_count_) {
-          prefetch_dense(pr);
-        } else {
-          pr.rank = pr.node - dense_node_count_ + 1;
-          pr.stage = Stage::kSelect;
-          prefetch_select(pr.rank);
-        }
-        return;
-      }
-      case Stage::kSelect: {
-        if (!config_.fast_select) {
-          select_scan(pr);
-          return;
-        }
-        size_t w = s_louds_select_.ScanStartWord(pr.rank);
-        PrefetchRead(s_louds_.data() + w);
-        if (w + 1 < s_louds_.num_words()) PrefetchRead(s_louds_.data() + w + 1);
-        pr.stage = Stage::kSelectScan;
-        return;
-      }
-      case Stage::kSelectScan: {
-        select_scan(pr);
-        return;
-      }
-      case Stage::kSparse: {
-        bool marker = SparseHasMarker(pr.pos, pr.end);
-        if (pr.level == pr.key.size()) {
-          if (marker) {
-            pr.out->found = true;
-            pr.out->leaf_id = static_cast<uint32_t>(dense_value_count_ +
-                                                    SparseValuePos(pr.pos));
-            pr.out->depth = static_cast<uint32_t>(pr.level);
-            pr.out->is_prefix_leaf = true;
-          }
-          pr.stage = Stage::kDone;
-          return;
-        }
-        uint8_t b = static_cast<uint8_t>(pr.key[pr.level]);
-        size_t p = SearchLabel(pr.pos + (marker ? 1 : 0), pr.end, b);
-        if (p == pr.end) {
-          pr.stage = Stage::kDone;
-          return;
-        }
-        if (!s_has_child_.Get(p)) {
-          pr.out->found = true;
-          pr.out->leaf_id =
-              static_cast<uint32_t>(dense_value_count_ + SparseValuePos(p));
-          pr.out->depth = static_cast<uint32_t>(pr.level + 1);
-          pr.stage = Stage::kDone;
-          return;
-        }
-        pr.rank = SparseChildNodeNum(p) - dense_node_count_ + 1;
-        ++pr.level;
-        pr.stage = Stage::kSelect;
-        prefetch_select(pr.rank);
-        return;
-      }
-      case Stage::kDone:
-        return;
-    }
-  };
 
   // Group scheduler: 16 probes run as interleaved state machines and the
   // group drains fully before the next is admitted. (A slot-refill variant —
@@ -197,34 +35,27 @@ void Fst::LookupPathBatch(const std::string_view* keys, size_t n,
   // prefetches in flight alongside mid-descent probes, oversubscribing the
   // core's fill buffers. The drain tail costs less than that contention.)
   constexpr size_t kGroup = 16;
-  Probe probes[kGroup];
+  Cursor cursors[kGroup];
+  bool live[kGroup];
   for (size_t base = 0; base < n; base += kGroup) {
     const size_t g = std::min(kGroup, n - base);
     for (size_t i = 0; i < g; ++i) {
-      Probe& pr = probes[i];
-      pr.key = keys[base + i];
-      pr.out = &out[base + i];
-      pr.node = 0;
-      pr.level = 0;
-      if (dense_levels_ > 0) {
-        pr.stage = Stage::kDense;
-        prefetch_dense(pr);
-      } else {
-        // Sparse-only trie: the root is sparse node 0 (rank 1).
-        pr.rank = pr.node - dense_node_count_ + 1;
-        pr.stage = Stage::kSelect;
-        prefetch_select(pr.rank);
-      }
+      cursors[i] = Cursor{};
+      live[i] = true;
+      PrefetchStep(keys[base + i], cursors[i]);
     }
     size_t active = g;
     while (active > 0) {
       size_t stepped = 0;
       for (size_t i = 0; i < g; ++i) {
-        Probe& pr = probes[i];
-        if (pr.stage == Stage::kDone) continue;
-        step(pr);
+        if (!live[i]) continue;
         ++stepped;
-        if (pr.stage == Stage::kDone) --active;
+        if (Step(keys[base + i], &cursors[i], &out[base + i])) {
+          PrefetchStep(keys[base + i], cursors[i]);
+        } else {
+          live[i] = false;
+          --active;
+        }
       }
       // Occupancy: round_slots / (rounds * 16) = average pipeline fill.
       MET_OBS_DEBUG_COUNT("fst.batch.rounds");

@@ -1,6 +1,9 @@
 // Binary serialization for Fst and Surf. Format: a small header of sizes
-// and config, followed by the raw bit/byte sequences. Rank and select
-// supports are derived structures and are rebuilt on load.
+// and config, followed by the raw bit/byte sequences, with LOUDS-Sparse as
+// three flat sequences (S-Labels, S-HasChild, S-LOUDS). The in-memory
+// sparse blocks, rank tables and child pointers are derived structures and
+// are rebuilt on load, so images written before the block layout load
+// unchanged (tests/data holds such images).
 #include <cstring>
 
 #include "fst/fst.h"
@@ -34,7 +37,7 @@ class Reader {
 
   bool Bytes(void* data, size_t n) {
     if (in_.size() - pos_ < n) return false;
-    std::memcpy(data, in_.data() + pos_, n);
+    if (n != 0) std::memcpy(data, in_.data() + pos_, n);  // data may be null
     pos_ += n;
     return true;
   }
@@ -83,10 +86,11 @@ void Fst::Serialize(std::string* out) const {
   PutBitVector(out, d_labels_);
   PutBitVector(out, d_has_child_);
   PutBitVector(out, d_is_prefix_);
+  SparseSequences flat = FlattenSparse();
   PutU64(out, num_s_labels_);
-  PutBytes(out, s_labels_.data(), num_s_labels_);
-  PutBitVector(out, s_has_child_);
-  PutBitVector(out, s_louds_);
+  PutBytes(out, flat.labels.data(), num_s_labels_);
+  PutBitVector(out, flat.has_child);
+  PutBitVector(out, flat.louds);
   PutU64(out, values_.size());
   PutBytes(out, values_.data(), values_.size() * sizeof(uint64_t));
   PutU64(out, level_node_start_.size());
@@ -122,29 +126,47 @@ bool Fst::Deserialize(std::string_view in) {
       !GetBitVector(&r, &d_is_prefix_))
     return false;
   uint64_t nlabels;
-  if (!r.U64(&nlabels)) return false;
-  num_s_labels_ = nlabels;
-  s_labels_.assign(nlabels + 16, 0);
-  if (!r.Bytes(s_labels_.data(), nlabels)) return false;
-  if (!GetBitVector(&r, &s_has_child_) || !GetBitVector(&r, &s_louds_))
+  // Sparse positions (and the two terminator bits) must fit the blocks'
+  // 32-bit child pointers.
+  if (!r.U64(&nlabels) || nlabels > r.rest().size() ||
+      nlabels >= (uint64_t{1} << 32) - 2)
+    return false;
+  SparseSequences flat;
+  flat.labels.resize(nlabels);
+  if (!r.Bytes(flat.labels.data(), nlabels)) return false;
+  if (!GetBitVector(&r, &flat.has_child) || !GetBitVector(&r, &flat.louds))
+    return false;
+  if (flat.has_child.size() != nlabels || flat.louds.size() != nlabels)
     return false;
   uint64_t nvalues;
   if (!r.U64(&nvalues)) return false;
   values_.resize(nvalues);
   if (!r.Bytes(values_.data(), nvalues * sizeof(uint64_t))) return false;
   uint64_t nlevels;
-  if (!r.U64(&nlevels)) return false;
+  if (!r.U64(&nlevels) || nlevels > r.rest().size() / sizeof(uint64_t))
+    return false;
   level_node_start_.resize(nlevels);
   if (!r.Bytes(level_node_start_.data(), nlevels * sizeof(uint64_t)))
     return false;
 
-  // Rebuild the derived rank/select supports.
-  d_labels_rank_.Build(&d_labels_, 64);
-  d_has_child_rank_.Build(&d_has_child_, 64);
-  d_is_prefix_rank_.Build(&d_is_prefix_, 512);
-  s_has_child_rank_.Build(&s_has_child_, 512);
-  s_louds_rank_.Build(&s_louds_, 512);
-  if (s_louds_.size() > 0) s_louds_select_.Build(&s_louds_, 64);
+  // The block builder follows the image's child structure: refuse counts
+  // that disagree with it rather than scan past the blocks.
+  if ((nnodes == 0) != (nleaves == 0)) return false;
+  if (nnodes > 0) {
+    if (nlevels != height + 2 || dlevels > height || dnodes > nnodes ||
+        dchildren + 1 < dnodes ||
+        flat.louds.CountOnes() != nnodes - dnodes ||
+        dchildren + flat.has_child.CountOnes() != nnodes - 1)
+      return false;
+    for (size_t l = 1; l < nlevels; ++l)
+      if (level_node_start_[l] < level_node_start_[l - 1]) return false;
+    if (level_node_start_[dlevels] != dnodes ||
+        level_node_start_[nlevels - 1] != nnodes)
+      return false;
+  }
+
+  BuildDenseRank();
+  BuildSparse(flat);
   return true;
 }
 

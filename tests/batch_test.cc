@@ -125,21 +125,15 @@ TEST(BatchTest, FstConfigMatrix) {
 
   FstConfig base;
   std::vector<FstConfig> configs;
-  configs.push_back(base);  // defaults: auto dense cutoff, all opts on
+  configs.push_back(base);  // defaults: auto dense cutoff
   FstConfig c = base;
-  c.fast_rank = false;
-  configs.push_back(c);
-  c = base;
-  c.fast_select = false;
+  c.max_dense_levels = 1;  // dense-to-sparse handoff at the first level
   configs.push_back(c);
   c = base;
   c.max_dense_levels = 0;  // sparse-only
   configs.push_back(c);
   c = base;
   c.max_dense_levels = 64;  // force-dense
-  configs.push_back(c);
-  c = base;
-  c.prefetch = false;
   configs.push_back(c);
 
   for (const FstConfig& cfg : configs) {

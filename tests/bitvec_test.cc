@@ -5,11 +5,61 @@
 #include "bitvec/bitvector.h"
 #include "bitvec/rank.h"
 #include "bitvec/select.h"
+#include "common/bits.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
 
 namespace met {
 namespace {
+
+// ---- Word primitives (hardware popcount / PDEP when built with them) ----
+
+int NaivePopCount(uint64_t x) {
+  int n = 0;
+  for (int i = 0; i < 64; ++i) n += (x >> i) & 1;
+  return n;
+}
+
+/// Position of the r-th (0-based) set bit, or -1.
+int NaiveSelect(uint64_t x, int r) {
+  for (int i = 0; i < 64; ++i)
+    if (((x >> i) & 1) && r-- == 0) return i;
+  return -1;
+}
+
+void ExpectWordOps(uint64_t x) {
+  const int ones = NaivePopCount(x);
+  ASSERT_EQ(PopCount(x), ones) << std::hex << x;
+  for (int r = 0; r < ones; ++r)
+    ASSERT_EQ(SelectInWord(x, r), NaiveSelect(x, r)) << std::hex << x << " r=" << r;
+}
+
+TEST(BitsTest, PopCountAndSelectEdges) {
+  ExpectWordOps(0);
+  ExpectWordOps(~uint64_t{0});
+  ExpectWordOps(uint64_t{1});
+  ExpectWordOps(uint64_t{1} << 63);
+  ExpectWordOps(0x8000000000000001ull);
+  ExpectWordOps(0x5555555555555555ull);
+  ExpectWordOps(0xAAAAAAAAAAAAAAAAull);
+  for (int i = 0; i < 64; ++i) {
+    ExpectWordOps(uint64_t{1} << i);
+    ExpectWordOps(~(uint64_t{1} << i));
+    ExpectWordOps(~uint64_t{0} >> i);
+    ExpectWordOps(~uint64_t{0} << i);
+  }
+}
+
+TEST(BitsTest, PopCountAndSelectRandomWords) {
+  Random rng(11);
+  for (int t = 0; t < 5000; ++t) {
+    uint64_t x = rng.Next();
+    // Thin some words out so sparse patterns are covered too.
+    if (t % 3 == 1) x &= rng.Next();
+    if (t % 3 == 2) x &= rng.Next() & rng.Next();
+    ExpectWordOps(x);
+  }
+}
 
 TEST(BitVectorTest, PushAndGet) {
   BitVector bv;

@@ -221,6 +221,28 @@ TEST(CheckMutation, FstHasChildBit) {
                  "flipped S-HasChild bit");
 }
 
+TEST(CheckMutation, FstBlockRank) {
+  FstConfig sparse_only;
+  sparse_only.max_dense_levels = 0;
+  Fst t;
+  FillFst(&t, sparse_only);
+  ExpectDetected(&t,
+                 [](auto* p) {
+                   ASSERT_TRUE(TestAccess::CorruptFstBlockRank(p));
+                 },
+                 "inline block rank off by one");
+}
+
+TEST(CheckMutation, FstBlockChildPointer) {
+  Fst t;
+  FillFst(&t, FstConfig{});  // dense levels above, block pointers below
+  ExpectDetected(&t,
+                 [](auto* p) {
+                   ASSERT_TRUE(TestAccess::CorruptFstChildPointer(p));
+                 },
+                 "block child pointer off its node start");
+}
+
 // --- SuRF ----------------------------------------------------------------
 
 void FillSurf(Surf* t) { t->Build(Keys(800), SurfConfig::Real(8)); }

@@ -1,8 +1,12 @@
 // Tests for the Fast Succinct Trie: exact lookups, lower-bound iteration,
-// range counts, and every FstConfig toggle (Fig 3.6's optimization matrix).
+// range counts across dense/sparse splits, and tries shaped to hit the
+// LOUDS-Sparse block boundaries.
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -45,14 +49,9 @@ struct FstConfigCase {
   FstConfig config;
 };
 
-FstConfig MakeConfig(int dense_levels, bool fast_rank, bool fast_select,
-                     bool simd, bool prefetch) {
+FstConfig MakeConfig(int dense_levels) {
   FstConfig c;
   c.max_dense_levels = dense_levels;
-  c.fast_rank = fast_rank;
-  c.fast_select = fast_select;
-  c.simd_label_search = simd;
-  c.prefetch = prefetch;
   return c;
 }
 
@@ -167,17 +166,150 @@ TEST_P(FstAllConfigsTest, CountRangeMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, FstAllConfigsTest,
     ::testing::Values(
-        FstConfigCase{"default", MakeConfig(-1, true, true, true, true)},
-        FstConfigCase{"sparse_only", MakeConfig(0, true, true, true, true)},
-        FstConfigCase{"all_dense", MakeConfig(64, true, true, true, true)},
-        FstConfigCase{"two_dense", MakeConfig(2, true, true, true, true)},
-        FstConfigCase{"poppy_rank", MakeConfig(-1, false, true, true, true)},
-        FstConfigCase{"slow_select", MakeConfig(-1, true, false, true, true)},
-        FstConfigCase{"no_simd", MakeConfig(-1, true, true, false, false)},
-        FstConfigCase{"baseline", MakeConfig(0, false, false, false, false)}),
+        FstConfigCase{"default", MakeConfig(-1)},
+        FstConfigCase{"sparse_only", MakeConfig(0)},
+        FstConfigCase{"one_dense", MakeConfig(1)},
+        FstConfigCase{"two_dense", MakeConfig(2)},
+        FstConfigCase{"all_dense", MakeConfig(64)}),
     [](const ::testing::TestParamInfo<FstConfigCase>& info) {
       return info.param.name;
     });
+
+// ---- LOUDS-Sparse block boundaries ----
+//
+// A block holds 96 labels. These tries put node starts, child pointers and
+// the terminator on either side of block edges; each is checked against
+// std::map for Lookup, LowerBound, the iterator and CountRange, and
+// LookupBatch against scalar Lookup, sparse-only and with one dense level.
+
+/// Two-byte keys: `fanout` first bytes, each followed by `per` second bytes.
+/// Sparse-only, that is fanout + fanout * per labels.
+std::vector<std::string> TwoLevelKeys(int fanout, int per) {
+  std::vector<std::string> keys;
+  for (int a = 0; a < fanout; ++a)
+    for (int b = 0; b < per; ++b)
+      keys.push_back(std::string{static_cast<char>(a + 1),
+                                 static_cast<char>(2 * b + 1)});
+  return keys;
+}
+
+void ExpectMatchesMap(const std::vector<std::string>& keys,
+                      const FstConfig& config, const char* what) {
+  SCOPED_TRACE(what);
+  std::map<std::string, uint64_t> oracle;
+  for (size_t i = 0; i < keys.size(); ++i) oracle[keys[i]] = i * 7 + 1;
+  std::vector<std::string> sorted;
+  std::vector<uint64_t> values;
+  for (const auto& [k, v] : oracle) {
+    sorted.push_back(k);
+    values.push_back(v);
+  }
+  Fst fst;
+  fst.Build(sorted, values, config);
+
+  // Iterator: every key in order with its value.
+  auto it = fst.Begin();
+  for (const auto& [k, v] : oracle) {
+    ASSERT_TRUE(it.Valid()) << k;
+    ASSERT_EQ(it.key(), k);
+    ASSERT_EQ(it.value(), v);
+    it.Next();
+  }
+  EXPECT_FALSE(it.Valid());
+
+  // Probes: every key, its neighbours, prefixes and extensions.
+  std::vector<std::string> probes = {"", std::string(1, '\0'), "\xff\xff"};
+  for (const std::string& k : sorted) {
+    probes.push_back(k);
+    probes.push_back(k + '\0');
+    probes.push_back(k.substr(0, k.size() - 1));
+    std::string up = k, down = k;
+    up.back() = static_cast<char>(up.back() + 1);
+    down.back() = static_cast<char>(down.back() - 1);
+    probes.push_back(up);
+    probes.push_back(down);
+  }
+  for (const std::string& q : probes) {
+    auto want = oracle.find(q);
+    uint64_t v = 0;
+    ASSERT_EQ(fst.Lookup(q, &v), want != oracle.end()) << q;
+    if (want != oracle.end()) {
+      ASSERT_EQ(v, want->second) << q;
+    }
+
+    auto lb = oracle.lower_bound(q);
+    auto got = fst.LowerBound(q);
+    ASSERT_EQ(got.Valid(), lb != oracle.end()) << q;
+    if (lb != oracle.end()) {
+      ASSERT_EQ(got.key(), lb->first) << q;
+    }
+  }
+  for (size_t i = 0; i < probes.size(); i += 3) {
+    std::string lo = probes[i], hi = probes[(i * 7 + 5) % probes.size()];
+    if (hi < lo) std::swap(lo, hi);
+    uint64_t want = std::distance(oracle.lower_bound(lo), oracle.lower_bound(hi));
+    ASSERT_EQ(fst.CountRange(lo, hi), want) << "[" << lo << ", " << hi << ")";
+  }
+
+  // Batched lookups agree with scalar ones.
+  std::vector<std::string_view> views(probes.begin(), probes.end());
+  std::vector<LookupResult> batch(views.size());
+  fst.LookupBatch(views.data(), views.size(), batch.data());
+  for (size_t i = 0; i < views.size(); ++i) {
+    uint64_t v = 0;
+    bool found = fst.Lookup(views[i], &v);
+    ASSERT_EQ(batch[i].found, found) << probes[i];
+    if (found) {
+      ASSERT_EQ(batch[i].value, v) << probes[i];
+    }
+  }
+}
+
+TEST(FstBlockTest, BoundaryShapes) {
+  struct Shape {
+    const char* name;
+    std::vector<std::string> keys;
+  };
+  std::vector<Shape> shapes;
+  // One 200-label node straddles three blocks.
+  shapes.push_back({"straddling node", TwoLevelKeys(1, 200)});
+  // 100 root labels, each with a 100-label child: block 1 starts inside the
+  // root, and its first child lies dozens of blocks later.
+  shapes.push_back({"child far ahead", TwoLevelKeys(100, 100)});
+  // Exactly 96 * 2 labels (32 + 160): the terminator opens a block.
+  shapes.push_back({"labels == 192", TwoLevelKeys(32, 5)});
+  // 95 labels (19 + 76): terminator at 95, its guard bit in the next block.
+  shapes.push_back({"labels == 95", TwoLevelKeys(19, 4)});
+  // Chains of single-label nodes, prefix keys (0xFF markers) and real 0xFF
+  // labels, over several blocks.
+  std::vector<std::string> chains;
+  for (int i = 0; i < 150; ++i) {
+    std::string k = "chain" + std::to_string(i * 37 % 1000);
+    chains.push_back(k);
+    if (i % 3 == 0) chains.push_back(k + "/leaf");
+    if (i % 5 == 0) chains.push_back(k + "\xff");
+  }
+  shapes.push_back({"chains and markers", chains});
+  auto emails = GenEmails(3000);
+  SortUnique(&emails);
+  shapes.push_back({"emails", emails});
+
+  for (const Shape& shape : shapes) {
+    ExpectMatchesMap(shape.keys, MakeConfig(0), shape.name);
+    ExpectMatchesMap(shape.keys, MakeConfig(1), shape.name);
+  }
+}
+
+TEST(FstBlockTest, SparseLabelCountsHitBlockMultiples) {
+  FstConfig sparse_only = MakeConfig(0);
+  for (auto [fanout, per, labels] :
+       {std::tuple{32, 5, 192}, std::tuple{19, 4, 95}, std::tuple{48, 1, 96}}) {
+    auto keys = TwoLevelKeys(fanout, per);
+    Fst fst;
+    fst.Build(keys, Iota(keys.size()), sparse_only);
+    EXPECT_EQ(fst.FlattenSparse().labels.size(), static_cast<size_t>(labels));
+  }
+}
 
 TEST(FstTest, IntegerKeys) {
   auto ints = GenRandomInts(50000);
@@ -265,9 +397,9 @@ TEST(FstTest, RealFFLabelVsMarker) {
 }
 
 TEST(FstTest, TenBitsPerNodeSparse) {
-  // LOUDS-Sparse encodes a node in ~10 bits plus rank/select overhead
-  // (Section 3.5); check the overall footprint is in that ballpark for a
-  // sparse-only full trie.
+  // LOUDS-Sparse encodes a label in 10 bits, 10.67 with the blocks' inline
+  // rank and child pointer (Section 3.5); check the overall footprint is in
+  // that ballpark for a sparse-only full trie.
   auto keys = GenEmails(50000);
   SortUnique(&keys);
   FstConfig cfg;

@@ -35,7 +35,8 @@ TEST(LoudsEncodingTest, SparseSequencesMatchFigure32) {
       "fst\xFF"
       "aorrstpyiy\xFF"
       "tep";
-  std::vector<uint8_t> labels = fst.SparseLabelsForTest();
+  const Fst::SparseSequences flat = fst.FlattenSparse();
+  const std::vector<uint8_t>& labels = flat.labels;
   ASSERT_EQ(labels.size(), expected_labels.size());
   for (size_t i = 0; i < labels.size(); ++i)
     EXPECT_EQ(labels[i], static_cast<uint8_t>(expected_labels[i])) << i;
@@ -47,8 +48,8 @@ TEST(LoudsEncodingTest, SparseSequencesMatchFigure32) {
   // S-LOUDS: node boundaries.
   const std::vector<int> expected_louds = {1, 0, 0, 1, 0, 1, 0, 1, 0,
                                            0, 1, 0, 1, 0, 1, 0, 1, 0};
-  const BitVector& has_child = fst.SparseHasChildForTest();
-  const BitVector& louds = fst.SparseLoudsForTest();
+  const BitVector& has_child = flat.has_child;
+  const BitVector& louds = flat.louds;
   ASSERT_EQ(has_child.size(), expected_has_child.size());
   for (size_t i = 0; i < expected_has_child.size(); ++i) {
     EXPECT_EQ(has_child.Get(i), expected_has_child[i] == 1) << "HasChild " << i;

@@ -1,4 +1,7 @@
-// Round-trip tests for the FST / SuRF binary serialization.
+// Round-trip tests for the FST / SuRF binary serialization, and loading of
+// images written by the earlier three-array LOUDS-Sparse code (tests/data).
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "common/random.h"
@@ -115,6 +118,101 @@ TEST(SerializeTest, SparseOnlyAndEmpty) {
   Fst empty2;
   ASSERT_TRUE(empty2.Deserialize(blob));
   EXPECT_FALSE(empty2.Lookup("x"));
+}
+
+// ---- Images serialized before the block layout ----
+//
+// tests/data/{fst,surf}_v1.img were written by the three-array LOUDS-Sparse
+// code (700 keys: decimal "k<n>" strings with prefix relations, and 4-byte
+// binary keys; the FST with one dense level, the SuRF Mixed(4, 4)). Each
+// line of the matching .expected file is a query and the answers that code
+// gave, keys in hex ("-" for the empty key, "end" for no result).
+
+std::string ReadFile(const std::string& name) {
+  std::ifstream in(std::string(MET_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+std::string Hex(std::string_view s) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : s) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 15];
+  }
+  return out.empty() ? "-" : out;
+}
+
+std::string Unhex(const std::string& h) {
+  std::string out;
+  if (h == "-") return out;
+  for (size_t i = 0; i + 1 < h.size(); i += 2)
+    out += static_cast<char>(std::stoi(h.substr(i, 2), nullptr, 16));
+  return out;
+}
+
+TEST(SerializeTest, LoadsPreBlockFstImage) {
+  const std::string image = ReadFile("fst_v1.img");
+  ASSERT_FALSE(image.empty());
+  Fst fst;
+  ASSERT_TRUE(fst.Deserialize(image));
+  EXPECT_EQ(fst.num_keys(), 700u);
+  EXPECT_EQ(fst.dense_levels(), 1u);
+
+  std::istringstream expected(ReadFile("fst_v1.expected"));
+  std::string q, lb, hi;
+  int found;
+  uint64_t value, count;
+  size_t lines = 0;
+  while (expected >> q >> found >> value >> lb >> count >> hi) {
+    const std::string key = Unhex(q);
+    uint64_t v = 0;
+    ASSERT_EQ(fst.Lookup(key, &v), found == 1) << q;
+    if (found == 1) {
+      ASSERT_EQ(v, value) << q;
+    }
+    Fst::Iterator it = fst.LowerBound(key);
+    ASSERT_EQ(it.Valid() ? Hex(it.key()) : "end", lb) << q;
+    ASSERT_EQ(fst.CountRange(key, Unhex(hi)), count) << q << " " << hi;
+    ++lines;
+  }
+  EXPECT_EQ(lines, 414u);
+
+  // The format is unchanged: re-serializing reproduces the image.
+  std::string again;
+  fst.Serialize(&again);
+  EXPECT_EQ(again, image);
+}
+
+TEST(SerializeTest, LoadsPreBlockSurfImage) {
+  const std::string image = ReadFile("surf_v1.img");
+  ASSERT_FALSE(image.empty());
+  Surf surf;
+  ASSERT_TRUE(surf.Deserialize(image));
+  EXPECT_EQ(surf.num_keys(), 700u);
+
+  std::istringstream expected(ReadFile("surf_v1.expected"));
+  std::string q, next, hi;
+  int may, fp;
+  uint64_t count;
+  size_t lines = 0;
+  while (expected >> q >> may >> next >> fp >> count >> hi) {
+    const std::string key = Unhex(q);
+    ASSERT_EQ(surf.MayContain(key), may == 1) << q;
+    Surf::SeekResult r = surf.MoveToNext(key);
+    ASSERT_EQ(r.found ? Hex(r.key) : "end", next) << q;
+    ASSERT_EQ(r.fp_flag, fp == 1) << q;
+    ASSERT_EQ(surf.Count(key, Unhex(hi)), count) << q << " " << hi;
+    ++lines;
+  }
+  EXPECT_EQ(lines, 414u);
+
+  std::string again;
+  surf.Serialize(&again);
+  EXPECT_EQ(again, image);
 }
 
 }  // namespace
