@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "bench/bench_util.h"
 #include "common/random.h"
@@ -87,12 +88,11 @@ ModeResult RunMode(const std::string& name, size_t n_ops, bool durable,
     std::unique_ptr<LsmTree> tree =
         LsmTree::Open(BenchOptions(dir, true, group_sync_bytes));
     res.recover_seconds = t.ElapsedSeconds();
-    std::string cursor;
-    while (auto k = tree->Seek(cursor)) {
+    tree->Scan("", [&](std::string_view, std::string_view) {
       ++res.recovered_keys;
-      cursor = *k + '\0';
-      bench::Consume(res.recovered_keys);
-    }
+      return true;
+    });
+    bench::Consume(res.recovered_keys);
     tree->SimulateCrash();
   }
   io::RemoveAllFiles(posix, dir);

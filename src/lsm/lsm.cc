@@ -72,19 +72,32 @@ class BufReader {
   size_t off_ = 0;
 };
 
-/// Decodes one block payload; false on any structural inconsistency (only
-/// reachable via corruption that collides with the block checksum).
+/// Decodes one block payload into *out, reusing its strings; false on any
+/// structural inconsistency (only reachable via corruption that collides
+/// with the block checksum).
 bool ParseBlock(std::string_view raw,
                 std::vector<std::pair<std::string, std::string>>* out) {
   BufReader r(raw);
-  while (!r.AtEnd()) {
+  size_t n = 0;
+  for (; !r.AtEnd(); ++n) {
+    if (n == out->size()) out->emplace_back();
+    auto& [k, v] = (*out)[n];
     uint32_t klen, vlen;
-    std::string k, v;
     if (!r.ReadU32(&klen) || !r.ReadString(klen, &k)) return false;
     if (!r.ReadU32(&vlen) || !r.ReadString(vlen, &v)) return false;
-    out->emplace_back(std::move(k), std::move(v));
   }
+  out->resize(n);
   return true;
+}
+
+/// Fence index lookup: the last block whose first key <= key (block 0 when
+/// key sorts before every block).
+size_t FenceBlock(const std::vector<std::string>& first_keys,
+                  std::string_view key) {
+  auto it = std::upper_bound(
+      first_keys.begin(), first_keys.end(), key,
+      [](std::string_view k, const std::string& f) { return k < f; });
+  return it == first_keys.begin() ? 0 : (it - first_keys.begin()) - 1;
 }
 
 /// Parses the decimal id following `prefix` in a directory entry name;
@@ -293,17 +306,335 @@ io::Status LsmTree::Finish() {
   return s;
 }
 
+// ---------------------------------------------------------------------------
+// Streaming merge: cursors and the table builder
+// ---------------------------------------------------------------------------
+
+/// A sorted source of unique keys. key()/value() stay valid until this
+/// cursor's next Next(); no cursor keeps a pointer into the block cache, so
+/// any number of cursors can advance in any order.
+class LsmTree::Cursor {
+ public:
+  Cursor() = default;
+  Cursor(const Cursor&) = delete;
+  Cursor& operator=(const Cursor&) = delete;
+  virtual ~Cursor() = default;
+  virtual void Next() = 0;
+  bool Valid() const { return valid_; }
+  std::string_view key() const { return key_; }
+  std::string_view value() const { return value_; }
+  /// Non-OK once a read failed; the cursor is then no longer valid.
+  const io::Status& status() const { return status_; }
+
+ protected:
+  bool valid_ = false;
+  std::string_view key_, value_;
+  io::Status status_;
+};
+
+class LsmTree::MemCursor final : public Cursor {
+ public:
+  MemCursor(const MemTable& m, std::string_view lk)
+      : it_(m.lower_bound(lk)), end_(m.end()) {
+    Settle();
+  }
+  void Next() override {
+    ++it_;
+    Settle();
+  }
+
+ private:
+  void Settle() {
+    valid_ = it_ != end_;
+    if (valid_) {
+      key_ = it_->first;
+      value_ = it_->second;
+    }
+  }
+  MemTable::const_iterator it_, end_;
+};
+
+/// Walks a run of disjoint tables in key order (one L0 table, or a level's
+/// tables) block by block, from the first key >= lk. Scans go through the
+/// block cache and copy a few entries at a time out of the cache slot;
+/// compactions (`direct`) read and verify each block from the file
+/// themselves. Quarantined and corrupt blocks are skipped.
+class LsmTree::RunCursor final : public Cursor {
+ public:
+  RunCursor(LsmTree* tree, std::vector<const SsTable*> tables,
+            std::string_view lk, bool direct)
+      : tree_(tree), tables_(std::move(tables)), direct_(direct) {
+    if (!tables_.empty()) block_ = FenceBlock(tables_[0]->block_first_key, lk);
+    Load(lk);
+  }
+  void Next() override {
+    if (++pos_ < buf_.size()) {
+      Settle();
+    } else {
+      Load({});
+    }
+  }
+
+ private:
+  // Entries copied out of a cache slot per GetBlock call: a short scan
+  // copies only what it is likely to visit.
+  static constexpr size_t kCacheCopyBatch = 16;
+
+  static size_t LowerBound(const Block& b, std::string_view lk) {
+    if (lk.empty()) return 0;
+    return std::lower_bound(b.begin(), b.end(), lk,
+                            [](const auto& e, std::string_view k) {
+                              return e.first < k;
+                            }) -
+           b.begin();
+  }
+
+  void Settle() {
+    key_ = buf_[pos_].first;
+    value_ = buf_[pos_].second;
+  }
+
+  // Fills buf_ with the next entries >= lk; invalid at the end of the run
+  // or on an I/O error.
+  void Load(std::string_view lk) {
+    pos_ = 0;
+    while (table_ < tables_.size()) {
+      const SsTable& t = *tables_[table_];
+      if (block_ == t.block_first_key.size()) {
+        ++table_;
+        block_ = 0;
+        continue;
+      }
+      if (direct_) {
+        const bool ok =
+            tree_->ReadBlockDirect(t, block_++, &raw_, &buf_, &status_);
+        if (!status_.ok()) break;
+        if (!ok) continue;
+        pos_ = LowerBound(buf_, lk);
+      } else {
+        const Block* b = tree_->GetBlock(t, block_);
+        size_t from = entry_, to = 0;
+        if (b != nullptr) {
+          if (from == 0) from = LowerBound(*b, lk);
+          to = std::min(b->size(), from + kCacheCopyBatch);
+          buf_.assign(b->begin() + from, b->begin() + to);
+        } else {
+          buf_.clear();
+        }
+        if (b == nullptr || to == b->size()) {
+          ++block_;
+          entry_ = 0;
+        } else {
+          entry_ = to;
+        }
+      }
+      if (pos_ < buf_.size()) {
+        valid_ = true;
+        Settle();
+        return;
+      }
+    }
+    valid_ = false;
+  }
+
+  LsmTree* tree_;
+  std::vector<const SsTable*> tables_;
+  const bool direct_;
+  size_t table_ = 0, block_ = 0;
+  size_t entry_ = 0;  // cache mode: next entry of block_ to copy
+  Block buf_;
+  size_t pos_ = 0;
+  std::string raw_;  // direct mode: the block as read from the file
+};
+
+/// K-way merge of sources given oldest first: yields each key once, with
+/// the value of the newest source holding it. Stops with that source's
+/// status when any source fails a read.
+class LsmTree::MergeCursor final : public Cursor {
+ public:
+  explicit MergeCursor(std::vector<std::unique_ptr<Cursor>> sources)
+      : src_(std::move(sources)) {
+    Pick();
+  }
+  void Next() override {
+    // Older versions of the current key are skipped before the winner
+    // moves on (key_ points into the winner's buffer).
+    for (auto& c : src_)
+      if (c.get() != top_ && c->Valid() && c->key() == key_) c->Next();
+    top_->Next();
+    Pick();
+  }
+
+ private:
+  void Pick() {
+    top_ = nullptr;
+    for (auto& c : src_) {
+      if (!c->status().ok()) {
+        status_ = c->status();
+        valid_ = false;
+        return;
+      }
+      // `<=`: on equal keys the later, newer source wins.
+      if (c->Valid() && (top_ == nullptr || c->key() <= top_->key()))
+        top_ = c.get();
+    }
+    valid_ = top_ != nullptr;
+    if (valid_) {
+      key_ = top_->key();
+      value_ = top_->value();
+    }
+  }
+
+  std::vector<std::unique_ptr<Cursor>> src_;
+  Cursor* top_ = nullptr;
+};
+
+/// Streams sorted, unique entries into SSTables (v2 format above): cuts a
+/// block once its payload reaches block_bytes and a table once its entries
+/// reach `target_bytes` (k + v + 8 each), writing through a bounded buffer.
+/// Each finished table is fsync'd (durable mode), reopened for reads and
+/// given a filter built from its keys.
+class LsmTree::TableBuilder {
+ public:
+  TableBuilder(LsmTree* tree, uint64_t target_bytes)
+      : tree_(tree), target_bytes_(target_bytes) {}
+  TableBuilder(const TableBuilder&) = delete;
+  TableBuilder& operator=(const TableBuilder&) = delete;
+
+  ~TableBuilder() {
+    if (cur_ != nullptr) {
+      if (file_ != nullptr) (void)file_->Close();  // abandoning the table
+      (void)tree_->env_->Remove(cur_->path);  // ditto; recovery sweeps it
+    }
+    for (auto& t : done_) tree_->CloseAndRemoveFile(*t);
+  }
+
+  /// Writes every entry of `c` and hands out the tables. On an error the
+  /// tables written so far are removed with the builder.
+  io::Status Build(Cursor* c, std::vector<std::unique_ptr<SsTable>>* out) {
+    io::Status s;
+    for (; s.ok() && c->Valid(); c->Next()) s = Add(c->key(), c->value());
+    if (s.ok()) s = c->status();
+    if (s.ok() && cur_ != nullptr) s = FinishTable();
+    if (s.ok()) out->swap(done_);
+    return s;
+  }
+
+  uint64_t entries() const { return entries_; }
+
+ private:
+  // Buffered output per write call; a table's blocks reach the file in
+  // chunks of about this size.
+  static constexpr size_t kWriteChunkBytes = 64 << 10;
+
+  io::Status Add(std::string_view key, std::string_view value) {
+    if (cur_ == nullptr) {
+      cur_ = std::make_unique<SsTable>();
+      cur_->id = tree_->next_table_id_++;
+      cur_->path = tree_->TablePath(cur_->id);
+      cur_->min_key.assign(key);
+      io::Status s =
+          tree_->env_->NewFile(cur_->path, io::OpenMode::kWrite, &file_);
+      if (!s.ok()) return s;
+    }
+    if (buf_.size() == block_start_) cur_->block_first_key.emplace_back(key);
+    AppendEntry(&buf_, key, value);
+    cur_->max_key.assign(key);
+    ++cur_->num_entries;
+    ++entries_;
+    if (tree_->options_.filter != LsmFilterType::kNone) keys_.emplace_back(key);
+    table_bytes_ += key.size() + value.size() + 8;
+    io::Status s;
+    if (buf_.size() - block_start_ >= tree_->options_.block_bytes)
+      s = CutBlock();
+    if (s.ok() && table_bytes_ >= target_bytes_) s = FinishTable();
+    return s;
+  }
+
+  io::Status CutBlock() {
+    const size_t len = buf_.size() - block_start_;
+    cur_->block_offset.push_back(written_ + block_start_);
+    cur_->block_length.push_back(static_cast<uint32_t>(len));
+    AppendU32(&buf_, io::Crc32c(buf_.data() + block_start_, len));
+    block_start_ = buf_.size();
+    return buf_.size() >= kWriteChunkBytes ? WriteBuffer() : io::Status::OK();
+  }
+
+  io::Status WriteBuffer() {
+    io::Status s = file_->WriteFull(written_, buf_);
+    written_ += buf_.size();
+    buf_.clear();
+    block_start_ = 0;
+    return s;
+  }
+
+  io::Status FinishTable() {
+    SsTable* t = cur_.get();
+    if (buf_.size() > block_start_) {
+      io::Status s = CutBlock();
+      if (!s.ok()) return s;
+    }
+    t->data_bytes = written_ + buf_.size();
+    const size_t footer_start = buf_.size();
+    AppendU32(&buf_, static_cast<uint32_t>(t->block_first_key.size()));
+    for (size_t b = 0; b < t->block_first_key.size(); ++b) {
+      AppendU32(&buf_, static_cast<uint32_t>(t->block_first_key[b].size()));
+      buf_.append(t->block_first_key[b]);
+      AppendU64(&buf_, t->block_offset[b]);
+      AppendU32(&buf_, t->block_length[b]);
+    }
+    AppendU64(&buf_, t->num_entries);
+    AppendU32(&buf_, static_cast<uint32_t>(t->max_key.size()));
+    buf_.append(t->max_key);
+    const uint32_t footer_crc = io::Crc32c(buf_.data() + footer_start,
+                                           buf_.size() - footer_start);
+    AppendU64(&buf_, t->data_bytes);
+    AppendU32(&buf_, footer_crc);
+    AppendU32(&buf_, kSstMagic);
+    t->file_bytes = written_ + buf_.size();
+
+    io::Status s = WriteBuffer();
+    if (s.ok() && tree_->options_.durable) s = file_->SyncWithRetry();
+    io::Status cs = file_->Close();
+    file_.reset();
+    if (s.ok()) s = cs;
+    if (s.ok()) {
+      s = tree_->env_->NewFile(t->path, io::OpenMode::kRead, &t->file);
+    }
+    if (!s.ok()) return s;
+    tree_->BuildFilter(t, keys_);
+    keys_.clear();
+    done_.push_back(std::move(cur_));
+    written_ = 0;
+    table_bytes_ = 0;
+    return io::Status::OK();
+  }
+
+  LsmTree* tree_;
+  const uint64_t target_bytes_;
+  std::unique_ptr<SsTable> cur_;  // table being written
+  std::unique_ptr<io::File> file_;
+  std::string buf_;          // unwritten tail of cur_'s file
+  size_t block_start_ = 0;   // offset of the open block in buf_
+  uint64_t written_ = 0;     // bytes of cur_'s file already written
+  uint64_t table_bytes_ = 0;
+  std::vector<std::string> keys_;  // cur_'s keys, when a filter is built
+  std::vector<std::unique_ptr<SsTable>> done_;
+  uint64_t entries_ = 0;
+};
+
 io::Status LsmTree::FlushMemTable() {
   if (memtable_.empty()) return io::Status::OK();
   const LsmObsMetrics& m = LsmObsMetrics::Get();
   obs::ScopedTimer span(m.flush_ns, "lsm.flush");
-  std::vector<std::pair<std::string, std::string>> entries;
-  entries.reserve(memtable_.size());
-  for (auto& [k, v] : memtable_) entries.emplace_back(k, v);
-
-  std::unique_ptr<SsTable> t;
-  io::Status s = WriteTable(entries, &t);
-  if (!s.ok()) return s;  // memtable intact; retried on the next trigger
+  std::vector<std::unique_ptr<SsTable>> out;
+  {
+    TableBuilder builder(this, ~uint64_t{0});  // one L0 table per flush
+    MemCursor c(memtable_, {});
+    io::Status s = builder.Build(&c, &out);
+    if (!s.ok()) return s;  // memtable intact; retried on the next trigger
+  }
+  std::unique_ptr<SsTable> t = std::move(out.front());
 
   if (options_.durable) {
     // Commit protocol: new table is durable on disk; create the next WAL,
@@ -314,7 +645,7 @@ io::Status LsmTree::FlushMemTable() {
     const uint64_t old_gen = wal_gen_;
     const uint64_t new_gen = wal_gen_ + 1;
     auto new_wal = std::make_unique<LsmWal>(*env_, WalPath(new_gen));
-    s = new_wal->Open();
+    io::Status s = new_wal->Open();
     if (!s.ok()) {
       CloseAndRemoveFile(*t);
       return s;
@@ -346,94 +677,19 @@ io::Status LsmTree::FlushMemTable() {
   return io::Status::OK();
 }
 
-io::Status LsmTree::WriteTable(
-    const std::vector<std::pair<std::string, std::string>>& entries,
-    std::unique_ptr<SsTable>* out) {
-  auto t = std::make_unique<SsTable>();
-  t->id = next_table_id_++;
-  t->path = TablePath(t->id);
-  t->min_key = entries.front().first;
-  t->max_key = entries.back().first;
-  t->num_entries = entries.size();
-  io::Status s = WriteTableFile(t.get(), entries);
-  if (!s.ok()) return s;
-  BuildFilter(t.get(), entries);
-  *out = std::move(t);
-  return io::Status::OK();
-}
-
-io::Status LsmTree::WriteTableFile(
-    SsTable* t, const std::vector<std::pair<std::string, std::string>>& entries) {
-  std::string file;
-  std::string block;
-  std::string block_first = entries.front().first;
-  auto flush_block = [&]() {
-    if (block.empty()) return;
-    t->block_first_key.push_back(block_first);
-    t->block_offset.push_back(file.size());
-    t->block_length.push_back(static_cast<uint32_t>(block.size()));
-    file.append(block);
-    AppendU32(&file, io::Crc32c(block.data(), block.size()));
-    block.clear();
-  };
-  for (const auto& [k, v] : entries) {
-    if (block.empty()) block_first = k;
-    AppendEntry(&block, k, v);
-    if (block.size() >= options_.block_bytes) flush_block();
-  }
-  flush_block();
-  t->data_bytes = file.size();
-
-  std::string footer;
-  AppendU32(&footer, static_cast<uint32_t>(t->block_first_key.size()));
-  for (size_t b = 0; b < t->block_first_key.size(); ++b) {
-    AppendU32(&footer, static_cast<uint32_t>(t->block_first_key[b].size()));
-    footer.append(t->block_first_key[b]);
-    AppendU64(&footer, t->block_offset[b]);
-    AppendU32(&footer, t->block_length[b]);
-  }
-  AppendU64(&footer, t->num_entries);
-  AppendU32(&footer, static_cast<uint32_t>(t->max_key.size()));
-  footer.append(t->max_key);
-  const uint32_t footer_crc = io::Crc32c(footer.data(), footer.size());
-  file.append(footer);
-  AppendU64(&file, t->data_bytes);
-  AppendU32(&file, footer_crc);
-  AppendU32(&file, kSstMagic);
-  t->file_bytes = file.size();
-
-  std::unique_ptr<io::File> f;
-  io::Status s = env_->NewFile(t->path, io::OpenMode::kWrite, &f);
-  if (s.ok()) s = f->WriteFull(0, file);
-  if (s.ok() && options_.durable) s = f->SyncWithRetry();
-  if (f != nullptr) {
-    io::Status cs = f->Close();
-    if (s.ok()) s = cs;
-  }
-  if (s.ok()) s = env_->NewFile(t->path, io::OpenMode::kRead, &t->file);
-  if (!s.ok()) {
-    (void)env_->Remove(t->path);  // cleanup; the flush error is what matters
-    return s;
-  }
-  return io::Status::OK();
-}
-
-void LsmTree::BuildFilter(
-    SsTable* t, const std::vector<std::pair<std::string, std::string>>& entries) {
+void LsmTree::BuildFilter(SsTable* t,
+                          const std::vector<std::string>& keys) const {
   switch (options_.filter) {
     case LsmFilterType::kNone:
       break;
     case LsmFilterType::kBloom: {
-      t->bloom = std::make_unique<BloomFilter>(entries.size(),
+      t->bloom = std::make_unique<BloomFilter>(keys.size(),
                                                options_.bloom_bits_per_key);
-      for (const auto& [k, v] : entries) t->bloom->Add(k);
+      for (const auto& k : keys) t->bloom->Add(k);
       break;
     }
     case LsmFilterType::kSurfHash:
     case LsmFilterType::kSurfReal: {
-      std::vector<std::string> keys;
-      keys.reserve(entries.size());
-      for (const auto& [k, v] : entries) keys.push_back(k);
       SurfConfig cfg = options_.filter == LsmFilterType::kSurfHash
                            ? SurfConfig::Hash(options_.surf_suffix_bits)
                            : SurfConfig::Real(options_.surf_suffix_bits);
@@ -442,70 +698,6 @@ void LsmTree::BuildFilter(
       break;
     }
   }
-}
-
-io::Status LsmTree::WriteTables(
-    std::vector<std::pair<std::string, std::string>>&& entries,
-    std::vector<std::unique_ptr<SsTable>>* out) {
-  out->clear();
-  std::vector<std::pair<std::string, std::string>> chunk;
-  size_t bytes = 0;
-  io::Status s;
-  auto emit = [&]() {
-    if (chunk.empty() || !s.ok()) return;
-    std::unique_ptr<SsTable> t;
-    s = WriteTable(chunk, &t);
-    if (s.ok()) out->push_back(std::move(t));
-    chunk.clear();
-    bytes = 0;
-  };
-  for (auto& e : entries) {
-    bytes += e.first.size() + e.second.size() + 8;
-    chunk.push_back(std::move(e));
-    if (bytes >= options_.sstable_target_bytes) emit();
-  }
-  emit();
-  if (!s.ok()) {
-    for (auto& t : *out) CloseAndRemoveFile(*t);
-    out->clear();
-  }
-  return s;
-}
-
-io::Status LsmTree::ReadAll(
-    const SsTable& t, std::vector<std::pair<std::string, std::string>>* entries,
-    size_t* corrupt_blocks) {
-  entries->clear();
-  entries->reserve(t.num_entries);
-  if (corrupt_blocks != nullptr) *corrupt_blocks = 0;
-  if (t.file == nullptr) return io::Status::IoError("table file not open");
-  std::string file(t.data_bytes, '\0');
-  if (t.data_bytes > 0) {
-    io::Status s = t.file->ReadFull(0, file.data(), file.size());
-    if (!s.ok()) return s;
-  }
-  for (size_t b = 0; b < t.block_first_key.size(); ++b) {
-    const uint64_t off = t.block_offset[b];
-    const uint32_t len = t.block_length[b];
-    bool ok = off + len + kBlockCrcBytes <= file.size();
-    if (ok) {
-      uint32_t stored;
-      std::memcpy(&stored, file.data() + off + len, sizeof(stored));
-      ok = io::Crc32c(file.data() + off, static_cast<size_t>(len)) == stored;
-    }
-    size_t before = entries->size();
-    if (ok) {
-      ok = ParseBlock(std::string_view(file.data() + off, len), entries);
-      if (!ok) entries->resize(before);  // drop the partial decode
-    }
-    if (!ok) {
-      ++stats_.block_corruptions;
-      t.quarantined.insert(b);
-      obs::TraceEvent("lsm.block.quarantine");
-      if (corrupt_blocks != nullptr) ++*corrupt_blocks;
-    }
-  }
-  return io::Status::OK();
 }
 
 io::Status LsmTree::MaybeCompact() {
@@ -535,141 +727,88 @@ io::Status LsmTree::MaybeCompact() {
 
 io::Status LsmTree::CompactLevel0() {
   // Merge all L0 tables plus every overlapping L1 table into new L1 tables.
-  // Inputs are only removed after the new tables (and, in durable mode, the
-  // manifest) are safely on disk — a failure leaves the old state intact.
-  const LsmObsMetrics& m = LsmObsMetrics::Get();
-  obs::ScopedTimer span(m.compaction_ns, "lsm.compaction.l0");
+  obs::ScopedTimer span(LsmObsMetrics::Get().compaction_ns,
+                        "lsm.compaction.l0");
   if (levels_.size() < 2) levels_.resize(2);
-
-  std::string min_key = levels_[0].front()->min_key;
-  std::string max_key = levels_[0].front()->max_key;
-  for (auto& t : levels_[0]) {
-    min_key = std::min(min_key, t->min_key);
-    max_key = std::max(max_key, t->max_key);
+  std::string_view min_key = levels_[0].front()->min_key;
+  std::string_view max_key = levels_[0].front()->max_key;
+  std::vector<const SsTable*> upper, lower;
+  for (const auto& t : levels_[0]) {  // creation order: oldest first
+    min_key = std::min<std::string_view>(min_key, t->min_key);
+    max_key = std::max<std::string_view>(max_key, t->max_key);
+    upper.push_back(t.get());
   }
-
-  // Oldest first: L1 (disjoint, all older), then L0 tables in creation
-  // order, so later inserts into the map shadow earlier ones correctly.
-  std::map<std::string, std::string> merged;
-  std::vector<size_t> merge_l1;  // indexes of overlapping L1 inputs
-  std::vector<std::pair<std::string, std::string>> input;
-  for (size_t i = 0; i < levels_[1].size(); ++i) {
-    const SsTable& t = *levels_[1][i];
-    if (t.max_key < min_key || t.min_key > max_key) continue;
-    io::Status s = ReadAll(t, &input, nullptr);
-    if (!s.ok()) return s;
-    for (auto& e : input) merged[std::move(e.first)] = std::move(e.second);
-    merge_l1.push_back(i);
+  for (const auto& t : levels_[1]) {
+    if (!(t->max_key < min_key || t->min_key > max_key))
+      lower.push_back(t.get());
   }
-  for (auto& t : levels_[0]) {
-    io::Status s = ReadAll(*t, &input, nullptr);
-    if (!s.ok()) return s;
-    for (auto& e : input) merged[std::move(e.first)] = std::move(e.second);
-  }
-
-  std::vector<std::pair<std::string, std::string>> entries;
-  entries.reserve(merged.size());
-  for (auto& [k, v] : merged) entries.emplace_back(k, v);
-  std::vector<std::unique_ptr<SsTable>> tables;
-  io::Status s = WriteTables(std::move(entries), &tables);
-  if (!s.ok()) return s;
-
-  // Commit in memory.
-  std::vector<std::unique_ptr<SsTable>> removed;
-  std::vector<std::unique_ptr<SsTable>> keep;
-  std::set<size_t> merged_idx(merge_l1.begin(), merge_l1.end());
-  for (size_t i = 0; i < levels_[1].size(); ++i) {
-    (merged_idx.count(i) ? removed : keep).push_back(std::move(levels_[1][i]));
-  }
-  for (auto& t : levels_[0]) removed.push_back(std::move(t));
-  levels_[0].clear();
-  for (auto& t : tables) keep.push_back(std::move(t));
-  std::sort(keep.begin(), keep.end(),
-            [](const auto& a, const auto& b) { return a->min_key < b->min_key; });
-  levels_[1] = std::move(keep);
-  ++stats_.compactions;
-  m.compactions->Increment();
-  m.compaction_entries->Record(merged.size());
-
-  // Publish, then drop the inputs. If the manifest write fails the input
-  // files stay on disk: the stale manifest still names a complete,
-  // content-equivalent state (compaction preserves content), and the next
-  // successful manifest write supersedes it.
-  io::Status ms = options_.durable ? WriteManifest() : io::Status::OK();
-  if (ms.ok()) {
-    for (auto& t : removed) CloseAndRemoveFile(*t);
-  } else {
-    for (auto& t : removed)
-      if (t->file != nullptr) (void)t->file->Close();
-  }
-  return ms;
+  return Compact(0, upper, lower);
 }
 
 io::Status LsmTree::CompactLevel(size_t level) {
   // Move one table of `level` down, merging with overlapping tables. The
   // victim is chosen by a rotating cursor (as in RocksDB), so over time
   // every level spans the whole key range instead of partitioning it.
-  const LsmObsMetrics& m = LsmObsMetrics::Get();
-  obs::ScopedTimer span(m.compaction_ns, "lsm.compaction");
+  obs::ScopedTimer span(LsmObsMetrics::Get().compaction_ns, "lsm.compaction");
   if (levels_.size() < level + 2) levels_.resize(level + 2);
   if (compact_cursor_.size() < levels_.size()) compact_cursor_.resize(levels_.size(), 0);
   size_t idx = compact_cursor_[level] % levels_[level].size();
   compact_cursor_[level] = idx + 1;
-  const SsTable& victim = *levels_[level][idx];
+  const SsTable* victim = levels_[level][idx].get();
+  std::vector<const SsTable*> lower;
+  for (const auto& t : levels_[level + 1])
+    if (!(t->max_key < victim->min_key || t->min_key > victim->max_key))
+      lower.push_back(t.get());
+  return Compact(level, {victim}, lower);
+}
 
-  std::vector<std::pair<std::string, std::string>> newer;
-  io::Status s = ReadAll(victim, &newer, nullptr);
-  if (!s.ok()) return s;
-  std::vector<std::pair<std::string, std::string>> older;
-  std::vector<size_t> merge_next;  // overlapping inputs in level+1
-  std::vector<std::pair<std::string, std::string>> input;
-  for (size_t i = 0; i < levels_[level + 1].size(); ++i) {
-    const SsTable& t = *levels_[level + 1][i];
-    if (t.max_key < victim.min_key || t.min_key > victim.max_key) continue;
-    s = ReadAll(t, &input, nullptr);
-    if (!s.ok()) return s;
-    for (auto& e : input) older.push_back(std::move(e));
-    merge_next.push_back(i);
-  }
-
-  std::vector<std::pair<std::string, std::string>> merged;
-  merged.reserve(newer.size() + older.size());
-  size_t i = 0, j = 0;
-  while (i < newer.size() || j < older.size()) {
-    if (j >= older.size())
-      merged.push_back(std::move(newer[i++]));
-    else if (i >= newer.size())
-      merged.push_back(std::move(older[j++]));
-    else if (newer[i].first < older[j].first)
-      merged.push_back(std::move(newer[i++]));
-    else if (older[j].first < newer[i].first)
-      merged.push_back(std::move(older[j++]));
-    else {  // duplicate: newer wins
-      merged.push_back(std::move(newer[i++]));
-      ++j;
-    }
-  }
-  m.compaction_entries->Record(merged.size());
+io::Status LsmTree::Compact(size_t level,
+                            const std::vector<const SsTable*>& upper,
+                            const std::vector<const SsTable*>& lower) {
+  const LsmObsMetrics& m = LsmObsMetrics::Get();
   std::vector<std::unique_ptr<SsTable>> tables;
-  s = WriteTables(std::move(merged), &tables);
-  if (!s.ok()) return s;
-
-  std::vector<std::unique_ptr<SsTable>> removed;
-  std::vector<std::unique_ptr<SsTable>> keep;
-  std::set<size_t> merged_idx(merge_next.begin(), merge_next.end());
-  for (size_t k = 0; k < levels_[level + 1].size(); ++k) {
-    (merged_idx.count(k) ? removed : keep)
-        .push_back(std::move(levels_[level + 1][k]));
+  uint64_t entries = 0;
+  {
+    std::vector<std::unique_ptr<Cursor>> sources;  // oldest first
+    sources.push_back(std::make_unique<RunCursor>(this, lower, "", true));
+    for (const SsTable* t : upper) {
+      sources.push_back(std::make_unique<RunCursor>(
+          this, std::vector<const SsTable*>{t}, "", true));
+    }
+    MergeCursor merged(std::move(sources));
+    TableBuilder builder(this, options_.sstable_target_bytes);
+    io::Status s = builder.Build(&merged, &tables);
+    if (!s.ok()) return s;  // the builder removes its outputs
+    entries = builder.entries();
   }
-  removed.push_back(std::move(levels_[level][idx]));
-  levels_[level].erase(levels_[level].begin() + idx);
-  for (auto& t : tables) keep.push_back(std::move(t));
-  std::sort(keep.begin(), keep.end(),
+
+  // Commit in memory: the outputs replace the inputs in level + 1.
+  std::vector<std::unique_ptr<SsTable>> removed;
+  auto take = [&](std::vector<std::unique_ptr<SsTable>>& from,
+                  const std::vector<const SsTable*>& inputs) {
+    auto first =
+        std::stable_partition(from.begin(), from.end(), [&](const auto& t) {
+          return std::find(inputs.begin(), inputs.end(), t.get()) ==
+                 inputs.end();
+        });
+    for (auto it = first; it != from.end(); ++it)
+      removed.push_back(std::move(*it));
+    from.erase(first, from.end());
+  };
+  take(levels_[level], upper);
+  take(levels_[level + 1], lower);
+  auto& next = levels_[level + 1];
+  for (auto& t : tables) next.push_back(std::move(t));
+  std::sort(next.begin(), next.end(),
             [](const auto& a, const auto& b) { return a->min_key < b->min_key; });
-  levels_[level + 1] = std::move(keep);
   ++stats_.compactions;
   m.compactions->Increment();
+  m.compaction_entries->Record(entries);
 
+  // Publish, then drop the inputs. If the manifest write fails the input
+  // files stay on disk: the stale manifest still names a complete,
+  // content-equivalent state (compaction preserves content), and the next
+  // successful manifest write supersedes it.
   io::Status ms = options_.durable ? WriteManifest() : io::Status::OK();
   if (ms.ok()) {
     for (auto& t : removed) CloseAndRemoveFile(*t);
@@ -767,11 +906,11 @@ io::Status LsmTree::OpenTable(uint64_t id, std::unique_ptr<SsTable>* out) {
   // would miss its keys — a false negative — so such a table serves reads
   // unfiltered instead.
   if (options_.filter != LsmFilterType::kNone) {
-    std::vector<std::pair<std::string, std::string>> entries;
-    size_t corrupt = 0;
-    s = ReadAll(*t, &entries, &corrupt);
-    if (s.ok() && corrupt == 0 && !entries.empty()) {
-      BuildFilter(t.get(), entries);
+    std::vector<std::string> keys;
+    RunCursor c(this, {t.get()}, "", /*direct=*/true);
+    for (; c.Valid(); c.Next()) keys.emplace_back(c.key());
+    if (c.status().ok() && t->quarantined.empty() && !keys.empty()) {
+      BuildFilter(t.get(), keys);
     }
   }
   *out = std::move(t);
@@ -890,6 +1029,41 @@ io::Status LsmTree::Recover() {
 // Reads
 // ---------------------------------------------------------------------------
 
+void LsmTree::Quarantine(const SsTable& t, size_t block_idx) {
+  ++stats_.block_corruptions;
+  t.quarantined.insert(block_idx);
+  obs::TraceEvent("lsm.block.quarantine");
+}
+
+bool LsmTree::ReadBlockDirect(const SsTable& t, size_t block_idx,
+                              std::string* raw, Block* out,
+                              io::Status* status) {
+  if (t.file == nullptr) {
+    *status = io::Status::IoError("table file not open");
+    return false;
+  }
+  const uint64_t off = t.block_offset[block_idx];
+  const uint32_t len = t.block_length[block_idx];
+  if (off + len + kBlockCrcBytes > t.data_bytes) {
+    Quarantine(t, block_idx);
+    return false;
+  }
+  raw->resize(len + kBlockCrcBytes);
+  io::Status s = t.file->ReadFull(off, raw->data(), raw->size());
+  if (!s.ok()) {
+    *status = s;
+    return false;
+  }
+  uint32_t stored;
+  std::memcpy(&stored, raw->data() + len, sizeof(stored));
+  if (io::Crc32c(raw->data(), size_t{len}) != stored ||
+      !ParseBlock(std::string_view(raw->data(), len), out)) {
+    Quarantine(t, block_idx);
+    return false;
+  }
+  return true;
+}
+
 const LsmTree::Block* LsmTree::GetBlock(const SsTable& t, size_t block_idx) {
   if (t.quarantined.count(block_idx) != 0) return nullptr;
   auto key = std::make_pair(t.id, block_idx);
@@ -900,32 +1074,16 @@ const LsmTree::Block* LsmTree::GetBlock(const SsTable& t, size_t block_idx) {
     ++stats_.block_cache_hits;  // published lazily by SyncObsCounters()
     return &slot.entries;
   }
-  auto quarantine = [&]() -> const Block* {
-    ++stats_.block_corruptions;
-    t.quarantined.insert(block_idx);
-    obs::TraceEvent("lsm.block.quarantine");
-    return nullptr;
-  };
-  if (t.file == nullptr) return quarantine();
   ++stats_.block_reads;
-  std::string raw(t.block_length[block_idx] + kBlockCrcBytes, '\0');
-  io::Status s =
-      t.file->ReadFull(t.block_offset[block_idx], raw.data(), raw.size());
-  if (!s.ok()) {
-    last_io_error_ = s;
-    return quarantine();
-  }
-  uint32_t stored;
-  std::memcpy(&stored, raw.data() + raw.size() - kBlockCrcBytes,
-              sizeof(stored));
-  if (io::Crc32c(raw.data(), raw.size() - kBlockCrcBytes) != stored) {
-    return quarantine();
-  }
+  std::string raw;
   Block entries;
-  if (!ParseBlock(
-          std::string_view(raw.data(), raw.size() - kBlockCrcBytes),
-          &entries)) {
-    return quarantine();
+  io::Status s;
+  if (!ReadBlockDirect(t, block_idx, &raw, &entries, &s)) {
+    if (!s.ok()) {  // unreadable: quarantined like a corrupt block
+      last_io_error_ = s;
+      Quarantine(t, block_idx);
+    }
+    return nullptr;
   }
   // CLOCK insert.
   while (true) {
@@ -982,13 +1140,7 @@ bool LsmTree::TableGet(const SsTable& t, std::string_view key,
   } else if (!FilterMayContain(t, key)) {
     return false;
   }
-  // Fence index: last block whose first key <= key.
-  auto it = std::upper_bound(t.block_first_key.begin(), t.block_first_key.end(),
-                             std::string(key));
-  size_t block = it == t.block_first_key.begin()
-                     ? 0
-                     : (it - t.block_first_key.begin()) - 1;
-  const Block* entries = GetBlock(t, block);
+  const Block* entries = GetBlock(t, FenceBlock(t.block_first_key, key));
   if (entries == nullptr) return false;  // quarantined: fall through to older
   auto eit = std::lower_bound(
       entries->begin(), entries->end(), key,
@@ -1072,11 +1224,7 @@ bool LsmTree::Lookup(std::string_view key, std::string* value) {
 std::optional<std::string> LsmTree::TableSeek(const SsTable& t,
                                               std::string_view lk) {
   if (lk > t.max_key) return std::nullopt;
-  auto it = std::upper_bound(t.block_first_key.begin(), t.block_first_key.end(),
-                             std::string(lk));
-  size_t block = it == t.block_first_key.begin()
-                     ? 0
-                     : (it - t.block_first_key.begin()) - 1;
+  size_t block = FenceBlock(t.block_first_key, lk);
   while (block < t.block_first_key.size()) {
     const Block* entries = GetBlock(t, block);
     if (entries == nullptr) {  // quarantined: skip to the next block
@@ -1172,6 +1320,33 @@ std::optional<std::string> LsmTree::ClosedSeek(std::string_view lk,
   return best;
 }
 
+void LsmTree::Scan(
+    std::string_view lk,
+    const std::function<bool(std::string_view, std::string_view)>& visitor) {
+  // Sources oldest first: the deepest level up to L1 (each from its first
+  // table reaching lk), L0 in creation order, then the memtable.
+  std::vector<std::unique_ptr<Cursor>> sources;
+  for (size_t l = levels_.size(); l-- > 1;) {
+    const auto& level = levels_[l];
+    auto it = std::lower_bound(
+        level.begin(), level.end(), lk,
+        [](const auto& t, std::string_view k) { return t->max_key < k; });
+    if (it == level.end()) continue;
+    std::vector<const SsTable*> run;
+    for (; it != level.end(); ++it) run.push_back(it->get());
+    sources.push_back(
+        std::make_unique<RunCursor>(this, std::move(run), lk, false));
+  }
+  for (const auto& t : levels_[0]) {
+    if (lk > t->max_key) continue;
+    sources.push_back(std::make_unique<RunCursor>(
+        this, std::vector<const SsTable*>{t.get()}, lk, false));
+  }
+  sources.push_back(std::make_unique<MemCursor>(memtable_, lk));
+  for (MergeCursor c(std::move(sources)); c.Valid(); c.Next())
+    if (!visitor(c.key(), c.value())) break;
+}
+
 uint64_t LsmTree::Count(std::string_view lk, std::string_view hk) {
   // A key overwritten after a flush has stale versions in older components
   // (memtable vs L0 vs deeper levels), so the exact path must count distinct
@@ -1191,12 +1366,8 @@ uint64_t LsmTree::Count(std::string_view lk, std::string_view hk) {
       return;
     }
     // Scan blocks.
-    auto it = std::upper_bound(t.block_first_key.begin(),
-                               t.block_first_key.end(), std::string(lk));
-    size_t block = it == t.block_first_key.begin()
-                       ? 0
-                       : (it - t.block_first_key.begin()) - 1;
-    for (; block < t.block_first_key.size(); ++block) {
+    for (size_t block = FenceBlock(t.block_first_key, lk);
+         block < t.block_first_key.size(); ++block) {
       if (t.block_first_key[block] > std::string(hk)) break;
       const Block* entries = GetBlock(t, block);
       if (entries == nullptr) continue;  // quarantined

@@ -23,6 +23,7 @@
 #define MET_LSM_LSM_H_
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -163,17 +164,21 @@ class LsmTree {
   /// Unified point lookup (Figure 4.3, Get execution path).
   bool Lookup(std::string_view key, std::string* value = nullptr);
 
-  [[deprecated("use Lookup()")]] bool Get(std::string_view key,
-                                          std::string* value = nullptr) {
-    return Lookup(key, value);
-  }
-
   /// Open seek: smallest key >= `lk` across all levels; nullopt at end.
   std::optional<std::string> Seek(std::string_view lk);
 
   /// Closed seek: smallest key in [lk, hk]; nullopt if the range is empty.
   std::optional<std::string> ClosedSeek(std::string_view lk,
                                         std::string_view hk);
+
+  /// Ordered scan: calls visitor(key, value) for every key >= `lk`, in key
+  /// order, with its newest value, until the visitor returns false. Values
+  /// are passed through as stored (an empty value is not special here).
+  /// Both views are valid only during the call, and the visitor must not
+  /// modify the tree.
+  void Scan(std::string_view lk,
+            const std::function<bool(std::string_view key,
+                                     std::string_view value)>& visitor);
 
   /// Count of distinct keys in [lk, hk]: exact without SuRF (scans blocks
   /// and dedupes stale versions across components); filter-accelerated and
@@ -253,30 +258,39 @@ class LsmTree {
   };
 
   using Block = std::vector<std::pair<std::string, std::string>>;
+  using MemTable = std::map<std::string, std::string, std::less<>>;
+
+  // Streaming merge (DESIGN.md, "LSM merge cursor and table builder"):
+  // sorted sources (the memtable, runs of table blocks) merged newest-wins
+  // and streamed into a TableBuilder, so no path materializes a table.
+  class Cursor;
+  class MemCursor;
+  class RunCursor;
+  class MergeCursor;
+  class TableBuilder;
 
   io::Status FlushMemTable();
   io::Status MaybeCompact();
   io::Status CompactLevel0();
   io::Status CompactLevel(size_t level);
-  io::Status WriteTable(
-      const std::vector<std::pair<std::string, std::string>>& entries,
-      std::unique_ptr<SsTable>* out);
-  /// Splits a sorted entry stream into tables of at most target size. On
-  /// error, already-written table files are removed before returning.
-  io::Status WriteTables(
-      std::vector<std::pair<std::string, std::string>>&& entries,
-      std::vector<std::unique_ptr<SsTable>>* out);
-  /// Reads and checksum-verifies every block; corrupt blocks are skipped
-  /// (counted in *corrupt_blocks) rather than failing the call, so a
-  /// compaction salvages everything still intact. Returns an error only for
-  /// unrecoverable file-level I/O failures.
-  io::Status ReadAll(const SsTable& t,
-                     std::vector<std::pair<std::string, std::string>>* entries,
-                     size_t* corrupt_blocks);
+  /// Merges `upper` (tables of `level`, oldest first) with `lower` (the
+  /// overlapping tables of level + 1, in key order) into new level + 1
+  /// tables, then commits: the MANIFEST names the outputs before any input
+  /// file is removed. On a failed write the inputs stay untouched.
+  io::Status Compact(size_t level, const std::vector<const SsTable*>& upper,
+                     const std::vector<const SsTable*>& lower);
 
   /// nullptr when the block is quarantined (checksum failure or unreadable)
-  /// — callers treat that as "no entries here" and fall through.
+  /// — callers treat that as "no entries here" and fall through. The block
+  /// lives in a cache slot that the next GetBlock call may overwrite: never
+  /// hold the pointer across another GetBlock.
   const Block* GetBlock(const SsTable& t, size_t block_idx);
+  void Quarantine(const SsTable& t, size_t block_idx);
+  /// Reads and checksum-verifies one block straight from the file, bypassing
+  /// the cache. A corrupt block is quarantined and yields false with an OK
+  /// *status; a file-level I/O failure sets *status.
+  bool ReadBlockDirect(const SsTable& t, size_t block_idx, std::string* raw,
+                       Block* out, io::Status* status);
   /// `filter_hint`, when non-null, is this table's precomputed filter answer
   /// from the batched fan-out in Lookup; the probe is then accounted here
   /// (scalar order) instead of re-executed.
@@ -291,12 +305,8 @@ class LsmTree {
                              std::string_view hk);
 
   // --- durability internals ---
-  /// Serializes entries into the on-disk v2 format and creates the file
-  /// (fsync'd in durable mode); fills everything but the filter.
-  io::Status WriteTableFile(
-      SsTable* t, const std::vector<std::pair<std::string, std::string>>& entries);
-  void BuildFilter(SsTable* t,
-                   const std::vector<std::pair<std::string, std::string>>& entries);
+  /// Builds the configured filter over a table's sorted keys.
+  void BuildFilter(SsTable* t, const std::vector<std::string>& keys) const;
   /// Opens an existing table by id: reads trailer + footer (both
   /// checksummed), reconstructs the fence index, and rebuilds the filter
   /// from block data. A table with corrupt blocks keeps filter = null (a
@@ -319,7 +329,7 @@ class LsmTree {
 
   LsmOptions options_;
   io::Env* env_ = nullptr;
-  std::map<std::string, std::string, std::less<>> memtable_;
+  MemTable memtable_;
   size_t memtable_bytes_ = 0;
   // levels_[0] may overlap (newest last); levels_[>=1] sorted, disjoint.
   std::vector<std::vector<std::unique_ptr<SsTable>>> levels_;

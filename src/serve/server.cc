@@ -124,12 +124,6 @@ std::string BeKey(uint64_t key) {
   return s;
 }
 
-uint64_t BeKeyDecode(const std::string& s) {
-  uint64_t v = 0;
-  for (char c : s) v = (v << 8) | static_cast<uint8_t>(c);
-  return v;
-}
-
 class DurableEngine final : public ShardEngine {
  public:
   explicit DurableEngine(std::unique_ptr<LsmTree> lsm) : lsm_(std::move(lsm)) {}
@@ -167,17 +161,11 @@ class DurableEngine final : public ShardEngine {
   size_t Scan(uint64_t start, size_t limit,
               std::vector<uint64_t>* out) override {
     out->clear();
-    std::string lk = BeKey(start);
-    while (out->size() < limit) {
-      std::optional<std::string> k = lsm_->Seek(lk);
-      if (!k.has_value() || k->size() != 8) break;
-      std::string v;
-      // Tombstones consume a seek step but produce no output.
-      if (lsm_->Lookup(*k, &v) && !v.empty()) out->push_back(GetU64(v.data()));
-      uint64_t next = BeKeyDecode(*k);
-      if (next == ~uint64_t{0}) break;
-      lk = BeKey(next + 1);
-    }
+    if (limit == 0) return 0;
+    lsm_->Scan(BeKey(start), [&](std::string_view, std::string_view v) {
+      if (!v.empty()) out->push_back(GetU64(v.data()));  // skip tombstones
+      return out->size() < limit;
+    });
     return out->size();
   }
 

@@ -40,6 +40,36 @@ TEST(Crc32cTest, IncrementalMatchesOneShot) {
   }
 }
 
+// Crc32c() is the SSE4.2 instruction when the build enables it; it must be
+// the same function as the slicing-by-4 fallback at every length and
+// alignment (the hardware path has bytewise head/tail loops around 8-byte
+// steps), and chain through `init` the same way.
+TEST(Crc32cTest, HardwareMatchesSoftware) {
+  EXPECT_EQ(Crc32cSoftware("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+  std::string buf(256 + 8, '\0');
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (char& c : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x);
+  }
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 256; ++len) {
+      const char* p = buf.data() + off;
+      const uint32_t sw = Crc32cSoftware(p, len);
+      ASSERT_EQ(Crc32c(p, len), sw) << "offset " << off << " length " << len;
+      const size_t split = len / 3;
+      const uint32_t chained = Crc32c(p + split, len - split, Crc32c(p, split));
+      ASSERT_EQ(chained, sw) << "offset " << off << " length " << len;
+      ASSERT_EQ(
+          Crc32cSoftware(p + split, len - split, Crc32cSoftware(p, split)),
+          sw);
+    }
+  }
+}
+
 TEST(Crc32cTest, DetectsSingleBitFlips) {
   std::string data = "block payload under test";
   uint32_t base = Crc32c(data);

@@ -280,6 +280,154 @@ TEST(LsmRecoveryTest, KillMidFlushKeepsAllAckedWrites) {
   WipeDir(dir);
 }
 
+// Sends the `fail_at`-th table file created after Arm() through `faulty`,
+// so only that file's writes see the injected faults; every other call goes
+// to the Posix env.
+class SstFaultRouter final : public io::Env {
+ public:
+  explicit SstFaultRouter(io::Env* faulty) : faulty_(faulty) {}
+
+  void Arm(size_t fail_at) {
+    fail_at_ = fail_at;
+    created_.clear();
+  }
+  const std::vector<std::string>& created() const { return created_; }
+
+  io::Status NewFile(const std::string& path, io::OpenMode mode,
+                     std::unique_ptr<io::File>* out) override {
+    if (fail_at_ > 0 && mode == io::OpenMode::kWrite &&
+        path.find("/sst_") != std::string::npos) {
+      created_.push_back(path);
+      if (created_.size() == fail_at_) return faulty_->NewFile(path, mode, out);
+    }
+    return base_.NewFile(path, mode, out);
+  }
+  io::Status Rename(const std::string& from, const std::string& to) override {
+    return base_.Rename(from, to);
+  }
+  io::Status Remove(const std::string& path) override {
+    return base_.Remove(path);
+  }
+  io::Status MkDir(const std::string& path) override {
+    return base_.MkDir(path);
+  }
+  io::Status ListDir(const std::string& path,
+                     std::vector<std::string>* entries) override {
+    return base_.ListDir(path, entries);
+  }
+  io::Status SyncDir(const std::string& path) override {
+    return base_.SyncDir(path);
+  }
+  io::Status FileSize(const std::string& path, uint64_t* size) override {
+    return base_.FileSize(path, size);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_.FileExists(path);
+  }
+
+ private:
+  io::Env& base_ = io::Env::Posix();
+  io::Env* faulty_;
+  size_t fail_at_ = 0;
+  std::vector<std::string> created_;
+};
+
+// A compaction that fails while writing its second output table (ENOSPC on
+// every attempt, or a torn write) must remove the outputs it wrote, keep
+// serving every acked key from its inputs, and leave a directory that
+// reopens to the pre-compaction state.
+void CompactionFaultOnSecondOutput(const char* name,
+                                   const io::FaultSpec& spec) {
+  const std::string dir = TestDir(name);
+  (void)io::Env::Posix().MkDir(dir);
+  WipeDir(dir);
+  io::FaultyEnv faulty(io::Env::Posix(), spec);
+  SstFaultRouter router(&faulty);
+  LsmOptions opt = TinyDurable(dir, &router);
+  opt.sstable_target_bytes = 4 << 10;  // several outputs per compaction
+  opt.level1_bytes = 1 << 20;          // no L1 -> L2 compaction
+  std::map<std::string, std::string> acked;
+  auto tree = LsmTree::Open(opt);
+  ASSERT_TRUE(tree->last_io_error().ok());
+  int i = 0;
+  for (; tree->stats().flushes < 4; ++i) {  // four L0 tables, no compaction
+    const std::string k = Key(i % 500), v = "v" + std::to_string(i);
+    ASSERT_TRUE(tree->Put(k, v).ok());
+    acked[k] = v;
+  }
+  for (int j = 0; j < 40; ++j, ++i) {
+    const std::string k = Key(i % 500), v = "v" + std::to_string(i);
+    ASSERT_TRUE(tree->Put(k, v).ok());
+    acked[k] = v;
+  }
+  ASSERT_TRUE(tree->SyncWal().ok());
+  ASSERT_EQ(tree->stats().compactions, 0u);
+  ASSERT_EQ(tree->NumTables(), 4u);
+
+  // Table files from here on: #1 is the flush, #2 and #3 the compaction's
+  // first and second outputs.
+  router.Arm(3);
+  EXPECT_FALSE(tree->Finish().ok());
+  ASSERT_EQ(router.created().size(), 3u) << "compaction wrote < 2 outputs";
+  EXPECT_GT(faulty.counts().Total(), 0u) << "injection never fired";
+  EXPECT_EQ(tree->stats().flushes, 5u);
+  EXPECT_EQ(tree->stats().compactions, 0u);
+  EXPECT_EQ(tree->NumTables(), 5u);
+  io::Env& env = io::Env::Posix();
+  EXPECT_TRUE(env.FileExists(router.created()[0]));
+  EXPECT_FALSE(env.FileExists(router.created()[1])) << "first output left";
+  EXPECT_FALSE(env.FileExists(router.created()[2])) << "partial output left";
+  std::vector<std::string> entries;
+  ASSERT_TRUE(env.ListDir(dir, &entries).ok());
+  EXPECT_EQ(std::count_if(entries.begin(), entries.end(),
+                          [](const std::string& e) {
+                            return e.rfind("sst_", 0) == 0;
+                          }),
+            5);
+
+  auto expect_acked = [&](LsmTree* t, const char* when) {
+    for (const auto& [k, v] : acked) {
+      std::string got;
+      ASSERT_TRUE(t->Lookup(k, &got)) << when << " lost " << k;
+      EXPECT_EQ(got, v) << when << " " << k;
+    }
+    size_t rows = 0;
+    auto it = acked.begin();
+    t->Scan("", [&](std::string_view k, std::string_view v) {
+      EXPECT_TRUE(it != acked.end() && k == it->first && v == it->second)
+          << when << " scan row " << rows;
+      ++it;
+      ++rows;
+      return it != acked.end();
+    });
+    EXPECT_EQ(rows, acked.size()) << when;
+  };
+  expect_acked(tree.get(), "after the failed compaction");
+  tree.reset();
+
+  io::Status st;
+  tree = LsmTree::Open(TinyDurable(dir), &st);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(tree->NumTables(), 5u);  // the pre-compaction L0
+  expect_acked(tree.get(), "after reopen");
+  tree.reset();
+  WipeDir(dir);
+}
+
+TEST(LsmRecoveryTest, CompactionEnospcOnSecondOutputKeepsInputs) {
+  io::FaultSpec spec;
+  spec.seed = 5;
+  spec.enospc = 1.0;  // every write attempt; retries exhaust
+  CompactionFaultOnSecondOutput("enospc_second_output", spec);
+}
+
+TEST(LsmRecoveryTest, CompactionTornSecondOutputKeepsInputs) {
+  io::FaultSpec spec;
+  spec.seed = 6;
+  spec.kill_after = 2;  // op 1 opens the file, op 2 is its first write
+  CompactionFaultOnSecondOutput("torn_second_output", spec);
+}
+
 TEST(LsmRecoveryTest, CorruptBlockIsQuarantinedAndOlderLevelServes) {
   const std::string dir = TestDir("quarantine");
   (void)io::Env::Posix().MkDir(dir);

@@ -1,12 +1,14 @@
 // Tests for the mini LSM engine and the ARF baseline.
 #include <cstdio>
 #include <map>
+#include <sstream>
 #include <optional>
 #include <set>
 #include <string>
 
 #include "arf/arf.h"
 #include "common/random.h"
+#include "io/io.h"
 #include "keys/keygen.h"
 #include "lsm/lsm.h"
 #include "gtest/gtest.h"
@@ -170,6 +172,170 @@ TEST(LsmTest, CountApproximation) {
     EXPECT_GE(approx, truth);
     EXPECT_LE(approx, truth + 2 * surf.NumTables() + 2);
   }
+}
+
+// ---------- Streaming merge: Scan and Lookup vs a std::map oracle ----------
+
+using Oracle = std::map<std::string, std::string>;
+
+std::vector<std::pair<std::string, std::string>> ScanN(LsmTree* lsm,
+                                                       const std::string& lk,
+                                                       size_t limit) {
+  std::vector<std::pair<std::string, std::string>> out;
+  if (limit == 0) return out;
+  lsm->Scan(lk, [&](std::string_view k, std::string_view v) {
+    out.emplace_back(k, v);
+    return out.size() < limit;
+  });
+  return out;
+}
+
+std::vector<std::pair<std::string, std::string>> OracleScan(
+    const Oracle& oracle, const std::string& lk, size_t limit) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (auto it = oracle.lower_bound(lk);
+       it != oracle.end() && out.size() < limit; ++it)
+    out.emplace_back(it->first, it->second);
+  return out;
+}
+
+// Full scan, bounded scans from random starts, and every point lookup.
+void ExpectMatchesOracle(LsmTree* lsm, const Oracle& oracle, Random* rng,
+                         const std::string& where) {
+  ASSERT_EQ(ScanN(lsm, "", ~size_t{0}), OracleScan(oracle, "", ~size_t{0}))
+      << where;
+  for (int t = 0; t < 20; ++t) {
+    std::string lk = "k" + std::to_string(rng->Uniform(700));
+    size_t limit = 1 + rng->Uniform(40);
+    ASSERT_EQ(ScanN(lsm, lk, limit), OracleScan(oracle, lk, limit))
+        << where << " scan from " << lk << " limit " << limit;
+  }
+  for (const auto& [k, v] : oracle) {
+    std::string got;
+    ASSERT_TRUE(lsm->Lookup(k, &got)) << where << " " << k;
+    ASSERT_EQ(got, v) << where << " " << k;
+  }
+  EXPECT_FALSE(lsm->Lookup("k~absent")) << where;
+}
+
+LsmOptions MergeOptions(const char* subdir) {
+  LsmOptions opt;
+  opt.dir = std::string("/tmp/met_lsm_test_") + subdir;
+  opt.memtable_bytes = 4 << 10;
+  opt.block_bytes = 256;
+  opt.sstable_target_bytes = 2 << 10;
+  opt.level1_bytes = 8 << 10;
+  opt.level_multiplier = 4;
+  opt.block_cache_blocks = 8;
+  opt.durable = true;
+  return opt;
+}
+
+TEST(LsmMergeTest, DifferentialAcrossFlushesAndCompactions) {
+  const LsmOptions opt = MergeOptions("merge_diff");
+  io::RemoveAllFiles(io::Env::Posix(), opt.dir);
+  Oracle oracle;
+  Random rng(71);
+  {
+    auto lsm = LsmTree::Open(opt);
+    uint64_t seen = 0;
+    for (int i = 0; i < 8000; ++i) {
+      // Overwrites (600-key universe) and empty values (the durable
+      // engine's tombstones) mixed in.
+      std::string k = "k" + std::to_string(rng.Uniform(600));
+      std::string v = rng.Uniform(8) == 0 ? "" : "v" + std::to_string(i);
+      ASSERT_TRUE(lsm->Put(k, v).ok());
+      oracle[k] = v;
+      const uint64_t events = lsm->stats().flushes + lsm->stats().compactions;
+      if (events != seen) {
+        seen = events;
+        ExpectMatchesOracle(lsm.get(), oracle, &rng, "op " + std::to_string(i));
+        std::ostringstream err;
+        ASSERT_TRUE(lsm->Validate(err)) << err.str();
+      }
+    }
+    ASSERT_TRUE(lsm->last_io_error().ok()) << lsm->last_io_error().ToString();
+    EXPECT_GE(lsm->stats().compactions, 5u);
+    EXPECT_GE(lsm->NumLevels(), 3u) << "no L1 -> L2 compaction happened";
+  }
+  auto reopened = LsmTree::Open(opt);
+  ExpectMatchesOracle(reopened.get(), oracle, &rng, "after reopen");
+  reopened.reset();
+  io::RemoveAllFiles(io::Env::Posix(), opt.dir);
+}
+
+// One key in five L0 tables and in L1 at once: the compaction merge and
+// every Scan must resolve it to the newest write.
+TEST(LsmMergeTest, NewestVersionWinsTies) {
+  LsmOptions opt = MergeOptions("merge_tie");
+  opt.level1_bytes = 1 << 20;  // no L1 -> L2 compaction
+  io::RemoveAllFiles(io::Env::Posix(), opt.dir);
+  auto expect_tie = [](LsmTree* lsm, const std::string& want) {
+    std::string got;
+    ASSERT_TRUE(lsm->Lookup("tie", &got));
+    EXPECT_EQ(got, want);
+    auto rows = ScanN(lsm, "", ~size_t{0});
+    size_t hits = 0;
+    for (const auto& [k, v] : rows) {
+      if (k != "tie") continue;
+      ++hits;
+      EXPECT_EQ(v, want);
+    }
+    EXPECT_EQ(hits, 1u);
+    const std::vector<std::pair<std::string, std::string>> first = {
+        {"tie", want}};
+    EXPECT_EQ(ScanN(lsm, "tie", 1), first);
+  };
+  {
+    auto lsm = LsmTree::Open(opt);
+    for (int g = 0; g < 5; ++g) {  // the fifth flush compacts into L1
+      ASSERT_TRUE(lsm->Put("tie", "a" + std::to_string(g)).ok());
+      ASSERT_TRUE(lsm->Put("filler" + std::to_string(g), "x").ok());
+      ASSERT_TRUE(lsm->Finish().ok());
+    }
+    ASSERT_EQ(lsm->stats().compactions, 1u);
+    expect_tie(lsm.get(), "a4");
+    for (int g = 0; g < 4; ++g) {  // four L0 tables over L1
+      ASSERT_TRUE(lsm->Put("tie", "b" + std::to_string(g)).ok());
+      ASSERT_TRUE(lsm->Finish().ok());
+    }
+    ASSERT_EQ(lsm->stats().compactions, 1u);
+    expect_tie(lsm.get(), "b3");
+    ASSERT_TRUE(lsm->Put("tie", "newest").ok());  // memtable over all of it
+    expect_tie(lsm.get(), "newest");
+    ASSERT_TRUE(lsm->Finish().ok());  // five L0 tables + L1 merge
+    ASSERT_EQ(lsm->stats().compactions, 2u);
+    expect_tie(lsm.get(), "newest");
+  }
+  auto reopened = LsmTree::Open(opt);
+  expect_tie(reopened.get(), "newest");
+  reopened.reset();
+  io::RemoveAllFiles(io::Env::Posix(), opt.dir);
+}
+
+// A two-slot block cache under a scan over many blocks of overlapping L0
+// tables: every cursor step evicts a slot another cursor read from. A
+// cursor that kept a cache pointer across GetBlock would read an entry
+// vector that was overwritten or freed (ASan) and diverge from the oracle.
+TEST(LsmMergeTest, ScanSurvivesTwoSlotBlockCache) {
+  LsmOptions opt = MergeOptions("merge_cache");
+  opt.durable = false;
+  opt.block_cache_blocks = 2;
+  opt.level0_table_limit = 64;  // keep every flush as its own L0 table
+  LsmTree lsm(opt);
+  Oracle oracle;
+  Random rng(73);
+  for (int i = 0; i < 3000; ++i) {
+    std::string k = "k" + std::to_string(rng.Uniform(700));
+    std::string v = "value-" + std::to_string(i);
+    ASSERT_TRUE(lsm.Put(k, v).ok());
+    oracle[k] = v;
+  }
+  ASSERT_EQ(lsm.stats().compactions, 0u);
+  ASSERT_GE(lsm.NumTables(), 8u);
+  lsm.ResetStats();
+  ExpectMatchesOracle(&lsm, oracle, &rng, "two-slot cache");
+  EXPECT_GT(lsm.stats().block_reads, 100u);
 }
 
 // ---------- ARF ----------

@@ -14,7 +14,7 @@
 //            sync; the WAL may have lost an un-synced *suffix* of them, so
 //            the recovered state must equal acked plus some prefix of the
 //            pending log (torn tails truncate, they never reorder).
-// After every reopen the tree is enumerated in full through Seek, compared
+// After every reopen the tree is enumerated in full through Scan, compared
 // against each candidate prefix state, and structurally Validate()d
 // (MET_CHECK=1 in tools/CMakeLists.txt). Any divergence prints a repro line
 // and counts toward the exit code (capped at 125).
@@ -31,9 +31,9 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -75,15 +75,13 @@ std::string KeyFor(uint64_t i) {
   return buf;
 }
 
-/// Enumerates every (key, value) in the tree via the Seek cursor.
+/// Enumerates every (key, value) in the tree with one Scan.
 std::map<std::string, std::string> DumpTree(LsmTree& tree) {
   std::map<std::string, std::string> out;
-  std::string cursor;
-  while (std::optional<std::string> k = tree.Seek(cursor)) {
-    std::string v;
-    if (tree.Lookup(*k, &v)) out[*k] = std::move(v);
-    cursor = *k + '\0';
-  }
+  tree.Scan("", [&](std::string_view k, std::string_view v) {
+    out.emplace(k, v);
+    return true;
+  });
   return out;
 }
 

@@ -267,7 +267,8 @@ DiffResult LsmTarget(const std::vector<std::string>& keys,
       case DiffOp::kInsert:
       case DiffOp::kInsertOrAssign:
       case DiffOp::kUpdate: {
-        std::string v = "v" + std::to_string(op.value);
+        // Every eighth write is empty: the durable engine's tombstone.
+        std::string v = op.value % 8 == 0 ? "" : "v" + std::to_string(op.value);
         if (!tree.Put(k, v).ok()) std::abort();  // would desync the oracle
         oracle[k] = v;
         break;
@@ -276,8 +277,23 @@ DiffResult LsmTarget(const std::vector<std::string>& keys,
         std::optional<std::string> got = tree.Seek(k);
         auto it = oracle.lower_bound(k);
         bool want = it != oracle.end();
-        if (got.has_value() != want || (want && *got != it->first))
+        if (got.has_value() != want || (want && *got != it->first)) {
           fail(i, "Seek(" + k + ") diverges");
+          break;
+        }
+        // Bounded Scan: scan_len rows from k, keys and values in order.
+        std::vector<std::pair<std::string, std::string>> rows, want_rows;
+        if (op.scan_len > 0) {
+          tree.Scan(k, [&](std::string_view sk, std::string_view sv) {
+            rows.emplace_back(sk, sv);
+            return rows.size() < op.scan_len;
+          });
+        }
+        for (; it != oracle.end() && want_rows.size() < op.scan_len; ++it)
+          want_rows.emplace_back(*it);
+        if (rows != want_rows)
+          fail(i, "Scan(" + k + ", " + std::to_string(op.scan_len) +
+                      ") diverges");
         break;
       }
       default: {  // kErase has no engine equivalent; probe instead
