@@ -47,12 +47,6 @@ class Art {
   /// Unified point lookup (met::RangeIndex surface).
   bool Lookup(std::string_view key, Value* value = nullptr) const;
 
-  [[deprecated("use Lookup()")]] bool Find(std::string_view key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
-
   /// Overwrites an existing key's value; false if absent.
   bool Update(std::string_view key, Value value);
 

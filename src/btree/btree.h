@@ -82,11 +82,6 @@ class BTree {
     return true;
   }
 
-  [[deprecated("use Lookup()")]] bool Find(const Key& key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
   /// Overwrites the value of an existing key; returns false if absent.
   bool Update(const Key& key, const Value& value) {
     const LeafNode* cleaf;

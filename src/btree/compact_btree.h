@@ -266,11 +266,6 @@ class CompactBTree {
     return true;
   }
 
-  [[deprecated("use Lookup()")]] bool Find(const Key& key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
   /// Index of the first entry with key >= `key` (== size() if none).
   /// Descends the implicit separator levels top-down: at each level the
   /// candidate separators for the current search range are contiguous, so a

@@ -89,11 +89,6 @@ class CompressedBTree {
     return true;
   }
 
-  [[deprecated("use Lookup()")]] bool Find(const Key& key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
   size_t Scan(const Key& key, size_t n, std::vector<Value>* out) const {
     if (pages_.empty()) return 0;
     size_t cnt = 0;

@@ -368,52 +368,6 @@ class ConcurrentHybridDiffAdapter {
   Concurrent index_;
 };
 
-/// Harness API over an outcome-native concurrent index (the OLC hybrid):
-/// mutations return MutateOutcome, which the adapter maps back onto the
-/// harness's bool idiom. Driven single-threaded there is no lock contention,
-/// so a kRetry (restart budget exhausted) can only mean a protocol bug —
-/// the adapter surfaces it as a divergence instead of masking it with a
-/// retry loop. Validate() quiesces background merges first, then runs the
-/// snapshot/epoch validator plus the static stage's structural validator.
-template <typename Concurrent>
-class OutcomeHybridDiffAdapter {
- public:
-  template <typename Config>
-  explicit OutcomeHybridDiffAdapter(const Config& cfg) : index_(cfg) {}
-
-  bool Insert(const std::string& k, uint64_t v) {
-    return index_.Insert(k, v) == MutateOutcome::kInserted;
-  }
-  void InsertOrAssign(const std::string& k, uint64_t v) {
-    if (index_.Update(k, v) != MutateOutcome::kUpdated) index_.Insert(k, v);
-  }
-  bool Lookup(const std::string& k, uint64_t* v) const {
-    return index_.Lookup(k, v);
-  }
-  bool Update(const std::string& k, uint64_t v) {
-    return index_.Update(k, v) == MutateOutcome::kUpdated;
-  }
-  bool Erase(const std::string& k) {
-    return index_.Remove(k) == MutateOutcome::kRemoved;
-  }
-  size_t Scan(const std::string& k, size_t n,
-              std::vector<uint64_t>* out) const {
-    return index_.Scan(k, n, out);
-  }
-  size_t size() const { return index_.size(); }
-
-  bool Validate(std::ostream& os) const {
-    index_.WaitForMergeIdle();
-    bool ok = index_.Validate(os);
-    auto stat = index_.StaticStageSnapshot();
-    if (stat != nullptr && !ValidateIfAvailable(*stat, os)) ok = false;
-    return ok;
-  }
-
- private:
-  Concurrent index_;
-};
-
 // ---------------------------------------------------------------------------
 // Static merge structures (CompactBTree / CompressedBTree / CompactSkipList):
 // ops are batched into sorted MergeEntry runs (erase => tombstone); reads are

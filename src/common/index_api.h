@@ -14,9 +14,6 @@
 // (B+tree, skip list, their compact forms) take their Key type, which is
 // std::string for byte-string workloads.
 //
-// The old per-structure spellings (`Find`, LsmTree's `Get`) survive as thin
-// [[deprecated]] shims; nothing in-tree calls them.
-//
 // Concepts are parameterized on the key type a caller intends to use, e.g.
 //   static_assert(met::PointIndex<met::Art, std::string_view>);
 //   static_assert(met::RangeIndex<met::BTree<uint64_t>, uint64_t>);
@@ -36,23 +33,19 @@
 namespace met {
 
 /// Uniform outcome of one mutation through the unified Insert/Update/Remove
-/// surface (IndexInsert/IndexUpdate/IndexRemove below, and the native
-/// outcome-returning methods on the concurrent structures).
+/// surface (IndexInsert/IndexUpdate/IndexRemove below).
 ///
 ///   kInserted — the key was absent (or dead) and is now live with the value.
 ///   kUpdated  — the key was live and its value was replaced.
 ///   kRemoved  — the key was live and is now dead.
 ///   kNotFound — Update/Remove target was not live; nothing changed.
 ///   kExists   — unique-mode Insert hit a live key; nothing changed.
-///   kRetry    — an optimistic structure exhausted its restart budget under
-///               contention; nothing changed and the caller may retry.
 enum class MutateOutcome : uint8_t {
   kInserted,
   kUpdated,
   kRemoved,
   kNotFound,
   kExists,
-  kRetry,
 };
 
 /// True for the outcomes that changed the structure.
@@ -60,26 +53,6 @@ constexpr bool MutateOk(MutateOutcome o) {
   return o == MutateOutcome::kInserted || o == MutateOutcome::kUpdated ||
          o == MutateOutcome::kRemoved;
 }
-
-constexpr const char* MutateOutcomeName(MutateOutcome o) {
-  switch (o) {
-    case MutateOutcome::kInserted: return "inserted";
-    case MutateOutcome::kUpdated: return "updated";
-    case MutateOutcome::kRemoved: return "removed";
-    case MutateOutcome::kNotFound: return "not_found";
-    case MutateOutcome::kExists: return "exists";
-    case MutateOutcome::kRetry: return "retry";
-  }
-  return "?";
-}
-
-/// Witness that the calling thread holds an epoch pin (hybrid::EpochGuard)
-/// on the domain protecting the structure it is passed to. Concurrent
-/// structures take it on every operation whose reclamation safety depends on
-/// the pin — the token has no state; it exists so the requirement is part of
-/// the signature instead of a comment. Obtain one from EpochGuard::token().
-/// Constructing one without holding a pin is a contract violation.
-struct EpochToken {};
 
 /// Uniform result of one unified point lookup. Batch kernels fill arrays of
 /// these; the scalar convenience overloads return it by value.
@@ -118,68 +91,37 @@ concept RangeIndex =
       { t.Scan(k, n, out) } -> std::convertible_to<size_t>;
     };
 
-/// True when the structure natively speaks the outcome-returning mutation
-/// surface (the OLC hybrid index). Scoped-enum returns are deliberately not
-/// convertible to bool, so these types are *not* PointIndex — callers must
-/// go through IndexInsert/IndexUpdate/IndexRemove (or handle kRetry
-/// themselves), which is the point of the redesign.
-template <typename T, typename K, typename V = uint64_t>
-concept HasOutcomeMutations =
-    requires(T& t, const K& k, const V& v) {
-      { t.Insert(k, v) } -> std::same_as<MutateOutcome>;
-      { t.Update(k, v) } -> std::same_as<MutateOutcome>;
-      { t.Remove(k) } -> std::same_as<MutateOutcome>;
-    };
-
-/// Uniform mutation entry points: native outcome methods when the structure
-/// has them, otherwise the classic bool Insert/Update/Erase idiom mapped
-/// onto outcomes. Classic structures never report kRetry. The requires
-/// clauses keep the dispatchers SFINAE-honest so MutablePointIndex below
-/// only claims types one of the branches can actually serve.
+/// Uniform mutation entry points: the classic bool Insert/Update/Erase
+/// idiom mapped onto outcomes. The requires clauses keep the dispatchers
+/// SFINAE-honest so MutablePointIndex below only claims types that can
+/// actually serve them.
 template <typename T, typename K, typename V>
-  requires(HasOutcomeMutations<T, K, V> ||
-           requires(T& t, const K& k, const V& v) {
-             { t.Insert(k, v) } -> std::convertible_to<bool>;
-           })
+  requires requires(T& t, const K& k, const V& v) {
+    { t.Insert(k, v) } -> std::convertible_to<bool>;
+  }
 MutateOutcome IndexInsert(T& t, const K& k, const V& v) {
-  if constexpr (HasOutcomeMutations<T, K, V>) {
-    return t.Insert(k, v);
-  } else {
-    return t.Insert(k, v) ? MutateOutcome::kInserted : MutateOutcome::kExists;
-  }
+  return t.Insert(k, v) ? MutateOutcome::kInserted : MutateOutcome::kExists;
 }
 
 template <typename T, typename K, typename V>
-  requires(HasOutcomeMutations<T, K, V> ||
-           requires(T& t, const K& k, const V& v) {
-             { t.Update(k, v) } -> std::convertible_to<bool>;
-           })
-MutateOutcome IndexUpdate(T& t, const K& k, const V& v) {
-  if constexpr (HasOutcomeMutations<T, K, V>) {
-    return t.Update(k, v);
-  } else {
-    return t.Update(k, v) ? MutateOutcome::kUpdated : MutateOutcome::kNotFound;
+  requires requires(T& t, const K& k, const V& v) {
+    { t.Update(k, v) } -> std::convertible_to<bool>;
   }
+MutateOutcome IndexUpdate(T& t, const K& k, const V& v) {
+  return t.Update(k, v) ? MutateOutcome::kUpdated : MutateOutcome::kNotFound;
 }
 
 template <typename T, typename K, typename V = uint64_t>
-  requires(HasOutcomeMutations<T, K, V> ||
-           requires(T& t, const K& k) {
-             { t.Erase(k) } -> std::convertible_to<bool>;
-           })
-MutateOutcome IndexRemove(T& t, const K& k) {
-  if constexpr (HasOutcomeMutations<T, K, V>) {
-    return t.Remove(k);
-  } else {
-    return t.Erase(k) ? MutateOutcome::kRemoved : MutateOutcome::kNotFound;
+  requires requires(T& t, const K& k) {
+    { t.Erase(k) } -> std::convertible_to<bool>;
   }
+MutateOutcome IndexRemove(T& t, const K& k) {
+  return t.Erase(k) ? MutateOutcome::kRemoved : MutateOutcome::kNotFound;
 }
 
 /// The unified mutable surface: anything the IndexInsert/IndexUpdate/
-/// IndexRemove dispatchers accept — classic bool-idiom structures (every
-/// PointIndex with an Update) and outcome-native concurrent structures
-/// alike. This is the concept generic write paths (ycsb, serve, minidb)
-/// constrain on.
+/// IndexRemove dispatchers accept (every PointIndex with an Update). This
+/// is the concept generic write paths (ycsb, minidb) constrain on.
 template <typename T, typename K, typename V = uint64_t>
 concept MutablePointIndex =
     ReadOnlyPointIndex<T, K, V> &&
@@ -187,21 +129,6 @@ concept MutablePointIndex =
       { IndexInsert(t, k, v) } -> std::same_as<MutateOutcome>;
       { IndexUpdate(t, k, v) } -> std::same_as<MutateOutcome>;
       { IndexRemove<T, K, V>(t, k) } -> std::same_as<MutateOutcome>;
-    };
-
-/// Internally-synchronized structures safe for concurrent mutation: the
-/// token-bearing overloads make the epoch-pin requirement part of the
-/// signature (see EpochToken). Mutations may report kRetry when the restart
-/// budget is exhausted under contention; nothing changed in that case and
-/// the caller decides whether to retry, shed, or fall back.
-template <typename T, typename K, typename V = uint64_t>
-concept ConcurrentPointIndex =
-    requires(T& t, const T& ct, const K& k, const V& v, V* vp,
-             EpochToken tok) {
-      { ct.Lookup(k, vp, tok) } -> std::convertible_to<bool>;
-      { t.Insert(k, v, tok) } -> std::same_as<MutateOutcome>;
-      { t.Update(k, v, tok) } -> std::same_as<MutateOutcome>;
-      { t.Remove(k, tok) } -> std::same_as<MutateOutcome>;
     };
 
 /// Approximate membership filter (Bloom, SuRF): false means certainly

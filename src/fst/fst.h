@@ -96,11 +96,6 @@ class Fst {
   /// terminal); writes the stored value.
   bool Lookup(std::string_view key, uint64_t* value = nullptr) const;
 
-  [[deprecated("use Lookup()")]] bool Find(std::string_view key,
-                                           uint64_t* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
   /// Batched LookupPath (the met::batch pipeline, impl in fst_batch.cc):
   /// runs up to 16 keys at a time as interleaved state machines, issuing a
   /// software prefetch for the lines each probe's *next* descent step will

@@ -152,11 +152,6 @@ class ConcurrentHybridIndex {
     return FindBelow(*s, key, value);
   }
 
-  [[deprecated("use Lookup()")]] bool Find(const Key& key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
   /// Updates the value of an existing (live) key; new values go to the
   /// active stage so recently modified entries stay hot.
   bool Update(const Key& key, Value value) {

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "common/index_api.h"
 #include "common/sync.h"
 #include "common/thread_annotations.h"
 #include "guard/clock.h"
@@ -85,25 +84,11 @@ class EpochDomain {
   /// MUST have swapped the object out of every shared pointer before calling
   /// (the tag drawn here must be ordered after the unpublish; see the header
   /// comment). Reclamation is deferred to TryReclaim() so retirement stays
-  /// O(1) — callers on a latency-critical path never free memory. Returns
-  /// the retirement tag: once MinPinnedEpoch() > tag, no reader that could
-  /// have observed the unpublished object is still pinned (the basis of
-  /// WaitQuiescentSince handoffs).
-  uint64_t Retire(std::function<void()> deleter) {
+  /// O(1) — callers on a latency-critical path never free memory.
+  void Retire(std::function<void()> deleter) {
     uint64_t tag = epoch_.fetch_add(1, std::memory_order_seq_cst);
     sync::MutexLock l(mu_);
     retired_.push_back({tag, std::move(deleter)});
-    return tag;
-  }
-
-  /// Blocks until every pin taken at an epoch <= `tag` has been released.
-  /// After this returns, any object unpublished before the Retire() that
-  /// produced `tag` is unreachable from every thread — the OLC hybrid's
-  /// freeze handoff uses this to know the frozen stage has gone quiescent
-  /// (late writers that loaded the pre-freeze snapshot have drained).
-  /// The caller must not itself hold a pin taken at an epoch <= tag.
-  void WaitQuiescentSince(uint64_t tag) const {
-    while (MinPinnedEpoch() <= tag) std::this_thread::yield();
   }
 
   /// Frees every retired object no pinned reader can still observe
@@ -253,10 +238,6 @@ class EpochGuard {
 
   EpochGuard(const EpochGuard&) = delete;
   EpochGuard& operator=(const EpochGuard&) = delete;
-
-  /// Witness for the concurrent mutation API (common/index_api.h): proof the
-  /// caller holds a live pin for the duration of the call it is passed to.
-  EpochToken token() const { return EpochToken{}; }
 
  private:
   EpochDomain* domain_;

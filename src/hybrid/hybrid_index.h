@@ -137,11 +137,6 @@ class HybridIndex {
     return found;
   }
 
-  [[deprecated("use Lookup()")]] bool Find(const Key& key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
   /// Updates the value of an existing key. New values go to the dynamic
   /// stage so recently modified entries stay hot (Section 5.1).
   bool Update(const Key& key, Value value) {

@@ -45,21 +45,11 @@ class TableIndex {
  public:
   explicit TableIndex(IndexKind kind);
 
-  // Mutations speak the unified outcome surface (common/index_api.h); the
-  // wrapped structures are classic bool-idiom trees, so kRetry never
-  // surfaces here, but the executor's branch points stay identical whether
-  // a table is backed by these or by a concurrent OLC index.
+  // Mutations speak the unified outcome surface (common/index_api.h).
   MutateOutcome Insert(uint64_t key, uint64_t tuple_id);
   bool Lookup(uint64_t key, uint64_t* tuple_id = nullptr) const;
-  [[deprecated("use Lookup()")]] bool Find(uint64_t key,
-                                           uint64_t* tuple_id = nullptr) const {
-    return Lookup(key, tuple_id);
-  }
   MutateOutcome Update(uint64_t key, uint64_t tuple_id);
   MutateOutcome Remove(uint64_t key);
-  [[deprecated("use Remove()")]] bool Erase(uint64_t key) {
-    return Remove(key) == MutateOutcome::kRemoved;
-  }
   size_t Scan(uint64_t key, size_t n, std::vector<uint64_t>* out) const;
   size_t MemoryBytes() const;
   size_t MemoryUse() const { return MemoryBytes(); }

@@ -20,7 +20,6 @@
 #include "guard/dedup.h"
 #include "guard/metrics.h"
 #include "hybrid/concurrent_hybrid.h"
-#include "hybrid/olc_hybrid.h"
 #include "lsm/lsm.h"
 #include "serve/net.h"
 #include "serve/protocol.h"
@@ -48,24 +47,13 @@ const ServeObsMetrics& ServeObsMetrics::Get() {
 
 namespace {
 
-/// PUT config shared by both memory engines: non-unique, so Insert is
-/// insert-or-assign — exactly PUT's upsert.
-ConcurrentHybridConfig MemoryEngineConfig() {
-  ConcurrentHybridConfig c;
-  c.unique = false;
-  return c;
-}
-
-/// Default memory engine: OLC hybrid through the outcome mutation API.
-/// PUT and DELETE take no writer lock — they optimistically descend the
-/// active stage and run in parallel with reads, with each other (were the
-/// shard ever driven from more than one thread), and with the
-/// freeze/drain/publish merge. kRetry (an exhausted restart budget, which
-/// takes pathological contention) is surfaced as a failed write rather
-/// than blocking the shard loop.
-class OlcMemoryEngine final : public ShardEngine {
+/// The in-memory engine: the locked hybrid B+tree in non-unique mode, so
+/// Insert is insert-or-assign — exactly PUT's upsert. The shard thread is
+/// the only writer; the background merge is the only other party that
+/// takes the writer lock, and only for its O(1) freeze and publish.
+class MemoryEngine final : public ShardEngine {
  public:
-  OlcMemoryEngine() : index_(MemoryEngineConfig()) {}
+  MemoryEngine() : index_(Config()) {}
 
   bool Get(uint64_t key, uint64_t* value) override {
     return index_.Lookup(key, value);
@@ -74,37 +62,7 @@ class OlcMemoryEngine final : public ShardEngine {
     met::LookupBatch(index_, keys, n, out);
   }
   bool Put(uint64_t key, uint64_t value) override {
-    return MutateOk(IndexInsert(index_, key, value));
-  }
-  bool Delete(uint64_t key) override {
-    return IndexRemove(index_, key) == MutateOutcome::kRemoved;
-  }
-  size_t Scan(uint64_t start, size_t limit,
-              std::vector<uint64_t>* out) override {
-    out->clear();
-    return index_.Scan(start, limit, out);
-  }
-
- private:
-  OlcConcurrentHybridBTree<uint64_t> index_;
-};
-
-/// Legacy memory engine: the SharedMutex hybrid, where every PUT/DELETE
-/// takes the writer-exclusive lock. Kept as the A/B baseline for
-/// bench_olc_scaling and --engine=locked.
-class LockedMemoryEngine final : public ShardEngine {
- public:
-  LockedMemoryEngine() : index_(MemoryEngineConfig()) {}
-
-  bool Get(uint64_t key, uint64_t* value) override {
-    return index_.Lookup(key, value);
-  }
-  void GetBatch(const uint64_t* keys, size_t n, LookupResult* out) override {
-    met::LookupBatch(index_, keys, n, out);
-  }
-  bool Put(uint64_t key, uint64_t value) override {
-    index_.Insert(key, value);
-    return true;
+    return index_.Insert(key, value);
   }
   bool Delete(uint64_t key) override { return index_.Erase(key); }
   size_t Scan(uint64_t start, size_t limit,
@@ -114,6 +72,12 @@ class LockedMemoryEngine final : public ShardEngine {
   }
 
  private:
+  static ConcurrentHybridConfig Config() {
+    ConcurrentHybridConfig c;
+    c.unique = false;
+    return c;
+  }
+
   ConcurrentHybridBTree<uint64_t> index_;
 };
 
@@ -178,11 +142,7 @@ class DurableEngine final : public ShardEngine {
 }  // namespace
 
 std::unique_ptr<ShardEngine> NewMemoryEngine() {
-  return std::make_unique<OlcMemoryEngine>();
-}
-
-std::unique_ptr<ShardEngine> NewLockedMemoryEngine() {
-  return std::make_unique<LockedMemoryEngine>();
+  return std::make_unique<MemoryEngine>();
 }
 
 std::unique_ptr<ShardEngine> NewDurableEngine(const std::string& dir,
@@ -1076,8 +1036,6 @@ struct Server::Impl {
           TearDownFds();
           return open_st;
         }
-      } else if (opts.locked_memory_engine) {
-        s->engine = NewLockedMemoryEngine();
       } else {
         s->engine = NewMemoryEngine();
       }

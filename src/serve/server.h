@@ -101,17 +101,13 @@ class ShardEngine {
   virtual bool SyncWrites() { return true; }
 };
 
-/// In-memory engine: OlcConcurrentHybridBTree<uint64_t> in non-unique
-/// (upsert) mode with background merges. Mutations go through the outcome
-/// API (common/index_api.h) and never serialize behind a writer lock, so
-/// the engine's own merge thread and any helper threads a deployment adds
-/// behind a shard proceed in parallel with the shard's request stream.
+/// In-memory engine: ConcurrentHybridBTree<uint64_t> in non-unique
+/// (upsert) mode with background merges. PUT and DELETE take the index's
+/// writer lock, which no other writer contends for: a shard has one writer
+/// (its own thread), and the background merge holds the lock only for its
+/// O(1) freeze and publish. Reads and the merge's drain never take it
+/// exclusively.
 std::unique_ptr<ShardEngine> NewMemoryEngine();
-
-/// Pre-OLC in-memory engine: ConcurrentHybridBTree<uint64_t>, whose
-/// SharedMutex serializes PUT/DELETE against each other and against the
-/// merge. Kept selectable (--engine=locked) as the bench baseline.
-std::unique_ptr<ShardEngine> NewLockedMemoryEngine();
 
 /// Durable engine: LsmTree::Open on `dir` (WAL + MANIFEST, group-fsync via
 /// SyncWrites). Keys are 8-byte big-endian so lexicographic order matches
@@ -138,10 +134,6 @@ struct ServerOptions {
   size_t dedup_window = 4096;
   /// Pause reading a connection whose pending response bytes exceed this.
   size_t conn_write_buffer_limit = 4u << 20;
-
-  /// Memory mode only: use the legacy SharedMutex hybrid engine instead of
-  /// the OLC default (writer-lock baseline for A/B runs).
-  bool locked_memory_engine = false;
 
   bool durable = false;
   std::string dir = "/tmp/met_serve";  // durable partitions: dir/shard-<i>

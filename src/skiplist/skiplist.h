@@ -68,11 +68,6 @@ class SkipList {
     return true;
   }
 
-  [[deprecated("use Lookup()")]] bool Find(const Key& key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
   bool Update(const Key& key, const Value& value) {
     Page* page = const_cast<Page*>(FindPage(key));
     if (page == nullptr) return false;

@@ -53,10 +53,8 @@ class ShardedIndex {
     return h % shards_.size();
   }
 
-  // Mutations go through the unified outcome dispatchers so a shard can be
-  // either a classic bool-idiom index or an outcome-native OLC structure;
-  // callers branch on MutateOutcome (kRetry only ever comes from the
-  // latter).
+  // Mutations go through the unified outcome dispatchers; callers branch on
+  // MutateOutcome.
   MutateOutcome Insert(const Key& key, Value value) {
     return IndexInsert(*shards_[ShardOf(key)], key, value);
   }
@@ -243,9 +241,7 @@ YcsbRunResult RunYcsb(ShardedIndex<Index, Key>* index, const YcsbSpec& spec,
           break;
         }
         case YcsbOp::kUpdate:
-          // Upsert-on-miss, but only on a definitive miss: kRetry means an
-          // exhausted restart budget with no state change, and blind-
-          // inserting there would double a live key.
+          // Upsert-on-miss.
           if (index->Update(key, idx + 1) == MutateOutcome::kNotFound)
             index->Insert(key, idx + 1);
           ++r.updates;

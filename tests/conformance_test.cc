@@ -7,19 +7,17 @@
 
 #include "art/art.h"
 #include "art/compact_art.h"
-#include "art/olc_art.h"
 #include "bloom/bloom.h"
 #include "btree/btree.h"
 #include "btree/compact_btree.h"
 #include "btree/compressed_btree.h"
-#include "btree/olc_btree.h"
 #include "btree/prefix_btree.h"
 #include "common/index_api.h"
 #include "fst/fst.h"
 #include "hot/hot.h"
 #include "common/random.h"
+#include "hybrid/concurrent_hybrid.h"
 #include "hybrid/hybrid.h"
-#include "hybrid/olc_hybrid.h"
 #include "keys/keygen.h"
 #include "masstree/compact_masstree.h"
 #include "masstree/masstree.h"
@@ -41,8 +39,7 @@ class IntIndexConformanceTest : public ::testing::Test {
 
 using IntIndexTypes =
     ::testing::Types<BTree<uint64_t>, SkipList<uint64_t>, HybridBTree<uint64_t>,
-                     HybridSkipList<uint64_t>, HybridCompressedBTree<uint64_t>,
-                     OlcBTree<uint64_t>>;
+                     HybridSkipList<uint64_t>, HybridCompressedBTree<uint64_t>>;
 TYPED_TEST_SUITE(IntIndexConformanceTest, IntIndexTypes);
 
 TYPED_TEST(IntIndexConformanceTest, InsertRejectsDuplicates) {
@@ -142,8 +139,7 @@ class StringIndexConformanceTest : public ::testing::Test {
 
 using StringIndexTypes =
     ::testing::Types<BTree<std::string>, SkipList<std::string>, Art, Masstree,
-                     HybridBTree<std::string>, HybridArt, HybridMasstree,
-                     OlcArt>;
+                     HybridBTree<std::string>, HybridArt, HybridMasstree>;
 TYPED_TEST_SUITE(StringIndexConformanceTest, StringIndexTypes);
 
 TYPED_TEST(StringIndexConformanceTest, BasicContract) {
@@ -195,9 +191,9 @@ TYPED_TEST(StringIndexConformanceTest, EmailWorkloadMatchesStdMap) {
 // ---------- outcome mutation API (common/index_api.h) ----------
 //
 // The IndexInsert/IndexUpdate/IndexRemove dispatchers must report identical
-// outcomes whether the structure speaks the classic bool idiom (BTree, the
-// locked hybrid) or is outcome-native (the OLC hybrid), so generic write
-// paths (ycsb, serve, minidb) behave the same over every backend.
+// outcomes over every backend (the plain B+tree, the blocking hybrid and the
+// concurrent hybrid the memory shard engine serves), so generic write paths
+// (ycsb, minidb) behave the same whichever one they are given.
 
 template <typename Index>
 class OutcomeApiConformanceTest : public ::testing::Test {
@@ -207,7 +203,7 @@ class OutcomeApiConformanceTest : public ::testing::Test {
 
 using OutcomeApiTypes =
     ::testing::Types<BTree<uint64_t>, HybridBTree<uint64_t>,
-                     OlcBTree<uint64_t>, OlcConcurrentHybridBTree<uint64_t>>;
+                     ConcurrentHybridBTree<uint64_t>>;
 TYPED_TEST_SUITE(OutcomeApiConformanceTest, OutcomeApiTypes);
 
 TYPED_TEST(OutcomeApiConformanceTest, DispatchersAgreeOnOutcomes) {
@@ -234,7 +230,6 @@ TYPED_TEST(OutcomeApiConformanceTest, DispatchersAgreeOnOutcomes) {
   EXPECT_TRUE(MutateOk(MutateOutcome::kRemoved));
   EXPECT_FALSE(MutateOk(MutateOutcome::kNotFound));
   EXPECT_FALSE(MutateOk(MutateOutcome::kExists));
-  EXPECT_FALSE(MutateOk(MutateOutcome::kRetry));
 }
 
 // ---------- unified-API concept conformance (common/index_api.h) ----------
@@ -257,6 +252,7 @@ static_assert(RangeIndex<HybridSkipList<uint64_t>, uint64_t>);
 static_assert(RangeIndex<HybridCompressedBTree<uint64_t>, uint64_t>);
 static_assert(RangeIndex<HybridArt, std::string>);
 static_assert(RangeIndex<HybridMasstree, std::string>);
+static_assert(RangeIndex<ConcurrentHybridBTree<uint64_t>, uint64_t>);
 
 // Static/compact structures expose the read-only point-lookup tier.
 static_assert(ReadOnlyPointIndex<Fst, std::string_view>);
@@ -277,30 +273,11 @@ static_assert(Filter<Surf>);
 static_assert(Filter<BloomFilter>);
 static_assert(Filter<BloomFilter, uint64_t>);
 
-// OLC stages: internally synchronized, token-bearing concurrent surface,
-// plus the legacy bool idiom for drop-in single-threaded use.
-static_assert(ConcurrentPointIndex<OlcBTree<uint64_t>, uint64_t>);
-static_assert(ConcurrentPointIndex<OlcArt, std::string>);
-static_assert(ConcurrentPointIndex<OlcArt, std::string_view>);
-static_assert(MutablePointIndex<OlcBTree<uint64_t>, uint64_t>);
-static_assert(MutablePointIndex<OlcArt, std::string_view>);
-static_assert(RangeIndex<OlcBTree<uint64_t>, uint64_t>);
-
-// The OLC hybrid is outcome-native: its scoped-enum mutation returns are
-// deliberately not convertible to bool, so it is *not* a PointIndex —
-// callers reach it only through the dispatchers (or handle kRetry
-// themselves). The classic structures satisfy the same MutablePointIndex
-// concept through the bool branch of the dispatchers.
-static_assert(HasOutcomeMutations<OlcConcurrentHybridBTree<uint64_t>,
-                                  uint64_t>);
-static_assert(HasOutcomeMutations<OlcConcurrentHybridArt, std::string>);
-static_assert(!PointIndex<OlcConcurrentHybridBTree<uint64_t>, uint64_t>);
-static_assert(MutablePointIndex<OlcConcurrentHybridBTree<uint64_t>,
-                                uint64_t>);
-static_assert(MutablePointIndex<OlcConcurrentHybridArt, std::string>);
+// Every structure with an Update serves the unified outcome surface through
+// the dispatchers, the served concurrent hybrid included.
+static_assert(MutablePointIndex<ConcurrentHybridBTree<uint64_t>, uint64_t>);
 static_assert(MutablePointIndex<BTree<uint64_t>, uint64_t>);
 static_assert(MutablePointIndex<HybridBTree<uint64_t>, uint64_t>);
-static_assert(!HasOutcomeMutations<BTree<uint64_t>, uint64_t>);
 
 }  // namespace
 }  // namespace met

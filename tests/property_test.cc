@@ -25,22 +25,18 @@
 #include <algorithm>
 
 #include "art/art.h"
-#include "art/olc_art.h"
 #include "bloom/bloom.h"
 #include "btree/btree.h"
-#include "btree/olc_btree.h"
 #include "check/btree_check.h"
 #include "common/index_api.h"
 #include "check/compact_btree_check.h"
 #include "check/compressed_btree_check.h"
 #include "check/concurrent_hybrid_check.h"
 #include "check/differential.h"
-#include "check/olc_schedule.h"
 #include "check/skiplist_check.h"
 #include "common/random.h"
 #include "fst/fst.h"
 #include "hybrid/hybrid.h"
-#include "hybrid/olc_hybrid.h"
 #include "keys/keygen.h"
 #include "lsm/lsm.h"
 #include "masstree/masstree.h"
@@ -199,107 +195,6 @@ TEST(PropertyConcurrentHybridArt, Differential) {
     return check::ConcurrentHybridDiffAdapter<ConcurrentHybridArt>(
         ConcurrentFuzzConfig(true));
   });
-}
-
-// ---------------------------------------------------------------------------
-// OLC structures. Three layers of coverage:
-//   1. OlcArt's legacy bool surface through the standard single-threaded
-//      differential (op-level semantics, prefix splits, Validate()).
-//   2. The OLC hybrid through the outcome-aware adapter — background merges
-//      (freeze/drain/publish) interleave with the op stream, and every
-//      checkpoint quiesces and validates both stages.
-//   3. Interleaved multi-writer schedules (check/olc_schedule.h) for
-//      OlcBTree/OlcArt under every seed, with exact per-key outcome
-//      linearizability against per-writer oracles.
-// OlcBTree requires trivially copyable keys, so only the schedule layer
-// (uint64_t keys) covers it; the string-key differential covers OlcArt.
-// ---------------------------------------------------------------------------
-
-// OLC seeds that reproduced a historical failure; never remove entries.
-// 0x01c5eed is the development-time default schedule seed, pinned so the
-// exact interleaving pressure it produced stays in the suite forever.
-constexpr uint64_t kOlcRegressionSeeds[] = {0x01c5eed};
-
-std::vector<uint64_t> OlcSeeds() {
-  std::vector<uint64_t> seeds = Seeds();
-  for (uint64_t r : kOlcRegressionSeeds) seeds.push_back(r);
-  return seeds;
-}
-
-TEST(PropertyOlcArt, Differential) {
-  DynamicDifferential([] { return OlcArt(); });
-}
-
-TEST(PropertyOlcHybridArt, Differential) {
-  DynamicDifferential([] {
-    return check::OutcomeHybridDiffAdapter<OlcConcurrentHybridArt>(
-        ConcurrentFuzzConfig(true));
-  });
-}
-
-uint64_t OlcIntKey(int writer, int i) {
-  return static_cast<uint64_t>(writer) * 1000000 + static_cast<uint64_t>(i);
-}
-
-std::string OlcArtKey(int writer, int i) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "olc:sharedprefix:%02d:%06d", writer, i);
-  return std::string(buf);
-}
-
-TEST(PropertyOlcBTree, MultiWriterSchedules) {
-  for (uint64_t seed : OlcSeeds()) {
-    OlcBTree<uint64_t> tree;
-    check::OlcScheduleConfig cfg;
-    cfg.seed = seed;
-    cfg.ops_per_writer = 4000;
-    auto r = check::RunOlcSchedule(&tree, cfg, OlcIntKey);
-    ASSERT_TRUE(r.ok) << "seed " << seed << ": " << r.message;
-  }
-}
-
-TEST(PropertyOlcArt, MultiWriterSchedules) {
-  for (uint64_t seed : OlcSeeds()) {
-    OlcArt tree;
-    check::OlcScheduleConfig cfg;
-    cfg.seed = seed;
-    cfg.ops_per_writer = 4000;
-    auto r = check::RunOlcSchedule(&tree, cfg, OlcArtKey);
-    ASSERT_TRUE(r.ok) << "seed " << seed << ": " << r.message;
-  }
-}
-
-// OlcBTree's trivially-copyable-key requirement keeps the string-keyed
-// differential off the OLC hybrid B+tree; the uint64-keyed schedule runs
-// it with background merges instead.
-TEST(PropertyOlcHybridBTree, MultiWriterSchedules) {
-  for (uint64_t seed : OlcSeeds()) {
-    ConcurrentHybridConfig hc;
-    hc.background_merge = true;
-    hc.constant_trigger = true;
-    hc.constant_threshold = 512;
-    OlcConcurrentHybridBTree<uint64_t> index(hc);
-    check::OlcScheduleConfig cfg;
-    cfg.seed = seed;
-    cfg.ops_per_writer = 3000;
-    auto r = check::RunOlcSchedule(&index, cfg, OlcIntKey);
-    ASSERT_TRUE(r.ok) << "seed " << seed << ": " << r.message;
-  }
-}
-
-TEST(PropertyOlcHybridArt, MultiWriterSchedules) {
-  for (uint64_t seed : OlcSeeds()) {
-    ConcurrentHybridConfig hc;
-    hc.background_merge = true;
-    hc.constant_trigger = true;
-    hc.constant_threshold = 512;
-    OlcConcurrentHybridArt index(hc);
-    check::OlcScheduleConfig cfg;
-    cfg.seed = seed;
-    cfg.ops_per_writer = 3000;
-    auto r = check::RunOlcSchedule(&index, cfg, OlcArtKey);
-    ASSERT_TRUE(r.ok) << "seed " << seed << ": " << r.message;
-  }
 }
 
 // Non-unique mode differential: Insert must replace in place (the harness's

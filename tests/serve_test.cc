@@ -13,8 +13,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "guard/net_fault.h"
 #include "io/io.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -761,6 +763,75 @@ TEST(ServeDurableTest, SigkillLosesNoAckedPut) {
   }
   c.Close();
   server.Shutdown();
+}
+
+// The memory engine's ShardEngine surface against a std::map, through
+// enough writes for several background merges: upserts, deletes of live
+// and absent keys, point and batched reads, and bounded scans must all
+// agree with the oracle whichever stages (active, frozen, static) hold the
+// keys at the time.
+TEST(ServeMemoryTest, EngineMatchesMapAcrossMerges) {
+  obs::Counter* merges = obs::MetricsRegistry::Global().GetCounter(
+      "hybrid.concurrent.merge.count");
+  const uint64_t merges_before = merges->Value();
+  auto engine = serve::NewMemoryEngine();
+  std::map<uint64_t, uint64_t> oracle;
+  Random rng(20261017);
+  // Keys are spread out so scans also start between keys.
+  auto random_key = [&rng] { return 1 + 3 * rng.Uniform(16384); };
+  auto want_scan = [&oracle](uint64_t start, size_t limit) {
+    std::vector<uint64_t> want;
+    for (auto it = oracle.lower_bound(start);
+         it != oracle.end() && want.size() < limit; ++it)
+      want.push_back(it->second);
+    return want;
+  };
+  std::vector<uint64_t> got;
+  for (int i = 0; i < 60000; ++i) {
+    const uint64_t roll = rng.Uniform(100);
+    if (roll < 40) {
+      const uint64_t key = random_key();
+      const uint64_t value = rng.Next() >> 1;
+      ASSERT_TRUE(engine->Put(key, value));
+      oracle[key] = value;
+    } else if (roll < 55) {
+      const uint64_t key = random_key();
+      ASSERT_EQ(engine->Delete(key), oracle.erase(key) == 1)
+          << "op " << i << " key " << key;
+    } else if (roll < 80) {
+      const uint64_t key = random_key();
+      uint64_t value = 0;
+      const auto it = oracle.find(key);
+      ASSERT_EQ(engine->Get(key, &value), it != oracle.end())
+          << "op " << i << " key " << key;
+      if (it != oracle.end()) {
+        ASSERT_EQ(value, it->second);
+      }
+    } else if (roll < 90) {
+      uint64_t keys[16];
+      LookupResult out[16];
+      for (uint64_t& k : keys) k = random_key();
+      engine->GetBatch(keys, 16, out);
+      for (size_t j = 0; j < 16; ++j) {
+        const auto it = oracle.find(keys[j]);
+        ASSERT_EQ(out[j].found, it != oracle.end())
+            << "op " << i << " key " << keys[j];
+        if (it != oracle.end()) {
+          ASSERT_EQ(out[j].value, it->second);
+        }
+      }
+    } else {
+      const uint64_t start = rng.Uniform(3 * 16384 + 8);
+      const size_t limit = 1 + rng.Uniform(64);
+      const std::vector<uint64_t> want = want_scan(start, limit);
+      ASSERT_EQ(engine->Scan(start, limit, &got), want.size());
+      ASSERT_EQ(got, want) << "op " << i << " start " << start;
+    }
+  }
+  ASSERT_EQ(engine->Scan(0, oracle.size() + 1, &got), oracle.size());
+  EXPECT_EQ(got, want_scan(0, oracle.size()));
+  engine.reset();  // waits for an in-flight merge to publish
+  EXPECT_GE(merges->Value() - merges_before, 2u);
 }
 
 // The durable engine's SCAN is one LsmTree::Scan: empty values (its

@@ -32,20 +32,16 @@
 #include <vector>
 
 #include "art/art.h"
-#include "art/olc_art.h"
 #include "bloom/bloom.h"
-#include "btree/olc_btree.h"
 #include "check/btree_check.h"
 #include "check/compact_btree_check.h"
 #include "check/compressed_btree_check.h"
 #include "check/concurrent_hybrid_check.h"
 #include "check/differential.h"
-#include "check/olc_schedule.h"
 #include "check/skiplist_check.h"
 #include "common/random.h"
 #include "fst/fst.h"
 #include "hybrid/hybrid.h"
-#include "hybrid/olc_hybrid.h"
 #include "io/io.h"
 #include "keys/keygen.h"
 #include "lsm/lsm.h"
@@ -655,51 +651,6 @@ DiffResult ProtoTarget(uint64_t seed) {
   return res;
 }
 
-// ---- OLC multi-writer schedule targets -----------------------------------
-//
-// Not op-replay differentials: each run drives the interleaved multi-writer
-// schedule harness (check/olc_schedule.h) with the fuzz seed, checking
-// every mutation outcome against per-writer linearizability oracles while
-// readers and background merges run concurrently. The interleaving is not
-// replayable op-for-op, so minimization does not apply — the repro line is
-// the (target, seed) pair.
-
-ConcurrentHybridConfig OlcHybridFuzzConfig() {
-  ConcurrentHybridConfig cfg;
-  cfg.background_merge = true;
-  cfg.constant_trigger = true;
-  cfg.constant_threshold = 512;
-  return cfg;
-}
-
-template <typename MakeIndex, typename KeyFn>
-DiffResult OlcScheduleTarget(uint64_t seed, MakeIndex make_index,
-                             KeyFn key_of) {
-  auto index = make_index();
-  check::OlcScheduleConfig cfg;
-  cfg.seed = seed;
-  cfg.writers = 6;
-  cfg.readers = 2;
-  cfg.ops_per_writer = 6000;
-  check::OlcScheduleResult r = check::RunOlcSchedule(&index, cfg, key_of);
-  DiffResult res;
-  if (!r.ok) {
-    res.ok = false;
-    res.message = r.message;
-  }
-  return res;
-}
-
-uint64_t OlcIntKey(int writer, int i) {
-  return static_cast<uint64_t>(writer) * 1000000 + static_cast<uint64_t>(i);
-}
-
-std::string OlcArtKey(int writer, int i) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "olc:sharedprefix:%02d:%06d", writer, i);
-  return std::string(buf);
-}
-
 struct NamedTarget {
   const char* name;
   Target target;
@@ -753,52 +704,6 @@ std::vector<NamedTarget> BuildTargets(uint64_t seed) {
                            ConcurrentHybridArt>(ConcurrentHybridFuzzConfig());
                      }),
                      true});
-  targets.push_back(
-      {"olc_art", DynamicTarget([] { return OlcArt(); }), true});
-  targets.push_back({"olc_hybrid_art", DynamicTarget([] {
-                       return check::OutcomeHybridDiffAdapter<
-                           OlcConcurrentHybridArt>(OlcHybridFuzzConfig());
-                     }),
-                     true});
-  targets.push_back({"olc_btree_mw",
-                     [seed](const std::vector<std::string>&,
-                            const std::vector<DiffOp>&) {
-                       return OlcScheduleTarget(
-                           seed, [] { return OlcBTree<uint64_t>(); },
-                           OlcIntKey);
-                     },
-                     false});
-  targets.push_back({"olc_art_mw",
-                     [seed](const std::vector<std::string>&,
-                            const std::vector<DiffOp>&) {
-                       return OlcScheduleTarget(seed, [] { return OlcArt(); },
-                                                OlcArtKey);
-                     },
-                     false});
-  targets.push_back({"olc_hybrid_btree_mw",
-                     [seed](const std::vector<std::string>&,
-                            const std::vector<DiffOp>&) {
-                       return OlcScheduleTarget(
-                           seed,
-                           [] {
-                             return OlcConcurrentHybridBTree<uint64_t>(
-                                 OlcHybridFuzzConfig());
-                           },
-                           OlcIntKey);
-                     },
-                     false});
-  targets.push_back({"olc_hybrid_art_mw",
-                     [seed](const std::vector<std::string>&,
-                            const std::vector<DiffOp>&) {
-                       return OlcScheduleTarget(
-                           seed,
-                           [] {
-                             return OlcConcurrentHybridArt(
-                                 OlcHybridFuzzConfig());
-                           },
-                           OlcArtKey);
-                     },
-                     false});
   targets.push_back(
       {"compact_btree", StaticTarget([] { return CompactBTree<std::string>(); }),
        true});

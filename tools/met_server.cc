@@ -3,12 +3,7 @@
 //
 //   met_server [--port N] [--shards N] [--queue-cap N] [--batch-width N]
 //              [--no-coalesce] [--durable] [--dir PATH]
-//              [--engine olc|locked]
 //              [--delay-target-us N] [--dedup-window N] [--json PATH]
-//
-// --engine picks the in-memory shard engine: "olc" (default) is the
-// optimistically lock-coupled hybrid, "locked" the SharedMutex baseline.
-// Ignored with --durable.
 //
 // --queue-cap is the per-shard admission bound in guard cost units,
 // --delay-target-us the CoDel-style standing queue-delay target, and
@@ -84,14 +79,6 @@ int main(int argc, char** argv) {
   opts.dir = FlagStr(argc, argv, "--dir", "/tmp/met_serve");
   opts.delay_target_us = FlagU64(argc, argv, "--delay-target-us", 5000);
   opts.dedup_window = FlagU64(argc, argv, "--dedup-window", 4096);
-  const char* engine = FlagStr(argc, argv, "--engine", "olc");
-  if (std::strcmp(engine, "locked") == 0) {
-    opts.locked_memory_engine = true;
-  } else if (std::strcmp(engine, "olc") != 0) {
-    std::fprintf(stderr, "met_server: unknown --engine '%s' (olc|locked)\n",
-                 engine);
-    return 2;
-  }
 
   met::serve::Server server(std::move(opts));
   if (met::io::Status st = server.Start(); !st.ok()) {

@@ -18,17 +18,12 @@
 //   wal     Two writers appending to one LsmWal under a harness mutex plus
 //           a group-sync thread; afterwards the log is replayed and the
 //           record count checked against what the writers appended.
-//   olc     Two OLC writers splitting a tiny-node OlcBTree's root leaf while
-//           an optimistic reader validates committed keys; a small restart
-//           budget makes kRetry reachable, and the final check proves every
-//           recorded outcome (kInserted/kRemoved/kRetry) matches the tree's
-//           exact final state.
 //
 // Exit codes: 0 = explored clean, 2 = violation found (trace printed),
 // 1 = usage / setup error.
 //
 // Usage:
-//   model_check --workload=hybrid|epoch|wal|olc [--bound=2] [--max-exec=200000]
+//   model_check --workload=hybrid|epoch|wal [--bound=2] [--max-exec=200000]
 //               [--random=N --seed=S] [--replay=0,1,0,...] [--inject]
 
 #include <cinttypes>
@@ -41,8 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "btree/olc_btree.h"
-#include "common/index_api.h"
 #include "common/sync.h"
 #include "check/concurrent_hybrid_check.h"
 #include "hybrid/concurrent_hybrid.h"
@@ -100,7 +93,7 @@ bool ParseCli(int argc, char** argv, Cli* cli) {
   }
   if (cli->workload.empty()) {
     std::fprintf(stderr,
-                 "usage: model_check --workload=hybrid|epoch|wal|olc "
+                 "usage: model_check --workload=hybrid|epoch|wal "
                  "[--bound=N] [--max-exec=N] [--random=N --seed=S] "
                  "[--replay=trace] [--inject]\n");
     return false;
@@ -280,117 +273,6 @@ struct EpochWorkload {
 };
 
 // ---------------------------------------------------------------------------
-// olc: optimistic lock coupling — a leaf split racing optimistic readers
-// ---------------------------------------------------------------------------
-
-// 96-byte nodes floor out at 4 leaf slots, so with three keys pre-loaded the
-// writers' inserts fill and then split the root leaf inside the explored
-// region. Every version-word action is a sync::Atomic access, i.e. a
-// scheduling decision, so the exploration drives the full OLC protocol:
-// optimistic descents validating against in-flight splits, upgrade CAS
-// races between the writers, and restart-budget exhaustion (the tiny budget
-// makes kRetry reachable; a kRetry op must leave the tree unchanged).
-using OlcIndex = met::OlcBTree<uint64_t, 96>;
-
-struct OlcWorkload {
-  std::unique_ptr<OlcIndex> index;
-  met::MutateOutcome w1_a{}, w1_b{}, w2_ins{}, w2_del{};
-
-  std::vector<Scheduler::ThreadFn> MakeThreads() {
-    index = std::make_unique<OlcIndex>(/*restart_budget=*/8);
-    // Pre-populate OUTSIDE the scheduler: committed state the reader may
-    // assert on, filling 3 of the root leaf's 4 slots.
-    for (uint64_t k = 1; k <= 3; ++k)
-      if (index->InsertUnique(k * 10, k) != met::MutateOutcome::kInserted)
-        throw met::race::FailureError{"olc: prepopulate failed"};
-    auto* idx = index.get();
-    return {
-        // Writer 1: the second insert overflows the root leaf and splits it.
-        [idx, this] {
-          w1_a = idx->InsertUnique(40, 4);
-          w1_b = idx->InsertUnique(50, 5);
-        },
-        // Writer 2: insert-then-remove on its own key; races writer 1 for
-        // the same leaf locks during the split window.
-        [idx, this] {
-          w2_ins = idx->InsertUnique(60, 6);
-          w2_del = w2_ins == met::MutateOutcome::kInserted
-                       ? idx->Remove(60)
-                       : met::MutateOutcome::kNotFound;
-        },
-        // Reader: committed keys must stay visible (with their exact
-        // values) through every interleaving of the splits. TryLookup is
-        // the budgeted flavor; exhaustion (nullopt) is legal under
-        // sustained writer interference, a wrong answer never is.
-        [idx] {
-          for (int round = 0; round < 2; ++round) {
-            for (uint64_t k = 1; k <= 3; ++k) {
-              uint64_t v = 0;
-              std::optional<bool> found = idx->TryLookup(k * 10, &v);
-              if (!found.has_value()) continue;  // budget ran dry
-              if (!*found)
-                met::race::Fail("olc: key %" PRIu64
-                                " vanished during split (round %d)",
-                                k * 10, round);
-              if (v != k)
-                met::race::Fail("olc: key %" PRIu64 " read %" PRIu64
-                                ", want %" PRIu64,
-                                k * 10, v, k);
-            }
-          }
-        },
-    };
-  }
-
-  void FinalCheck() {
-    std::ostringstream os;
-    if (!index->Validate(os))
-      throw met::race::FailureError{"olc: Validate failed:\n" + os.str()};
-    uint64_t v = 0;
-    for (uint64_t k = 1; k <= 3; ++k)
-      if (!index->Lookup(k * 10, &v) || v != k)
-        throw met::race::FailureError{"olc: committed key lost at exit"};
-    // Each recorded outcome must match the final state exactly: kInserted
-    // keys present (with their values), kRetry ops applied nothing.
-    auto check_insert = [&](met::MutateOutcome o, uint64_t key, uint64_t want,
-                            bool present_now) {
-      if (o == met::MutateOutcome::kInserted) {
-        if (!present_now)
-          throw met::race::FailureError{"olc: acked insert lost at exit"};
-        return;
-      }
-      if (o != met::MutateOutcome::kRetry)
-        throw met::race::FailureError{"olc: unexpected insert outcome " +
-                                      std::string(MutateOutcomeName(o))};
-      if (present_now)
-        throw met::race::FailureError{
-            "olc: kRetry insert left the key behind"};
-      (void)key;
-      (void)want;
-    };
-    bool p40 = index->Lookup(40, &v);
-    if (p40 && v != 4)
-      throw met::race::FailureError{"olc: key 40 has a torn value"};
-    check_insert(w1_a, 40, 4, p40);
-    bool p50 = index->Lookup(50, &v);
-    if (p50 && v != 5)
-      throw met::race::FailureError{"olc: key 50 has a torn value"};
-    check_insert(w1_b, 50, 5, p50);
-    bool p60 = index->Lookup(60, &v);
-    bool want60 = w2_ins == met::MutateOutcome::kInserted &&
-                  w2_del != met::MutateOutcome::kRemoved;
-    if (p60 != want60)
-      throw met::race::FailureError{
-          "olc: key 60 state diverges from its insert/remove outcomes"};
-    size_t want_size = 3 + (p40 ? 1 : 0) + (p50 ? 1 : 0) + (p60 ? 1 : 0);
-    if (index->size() != want_size)
-      throw met::race::FailureError{
-          "olc: size() " + std::to_string(index->size()) + " != expected " +
-          std::to_string(want_size)};
-  }
-};
-
-// ---------------------------------------------------------------------------
 // wal: group commit under a harness mutex, replay-count oracle
 // ---------------------------------------------------------------------------
 
@@ -548,15 +430,6 @@ int main(int argc, char** argv) {
     {
       auto warm = w.MakeThreads();
       for (auto& fn : warm) fn();
-    }
-    return Drive(&w, cli, nullptr);
-  }
-  if (cli.workload == "olc") {
-    OlcWorkload w;
-    {  // warm run outside the scheduler, same as the other workloads
-      auto warm = w.MakeThreads();
-      for (auto& fn : warm) fn();
-      w.FinalCheck();
     }
     return Drive(&w, cli, nullptr);
   }
