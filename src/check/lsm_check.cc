@@ -14,7 +14,11 @@
 //  * level 0: tables may overlap (newest last) — only per-table checks;
 //  * levels >= 1: tables sorted by min_key and pairwise disjoint
 //    (prev.max_key < next.min_key);
-//  * per-level compaction cursors sized to the level list.
+//  * per-level compaction cursors sized to the level list;
+//  * block cache: the hash index holds exactly the occupied slots, each
+//    reachable from its (table id, block) probe position; free-list
+//    slots are unoccupied; an occupied slot's offsets lie in its payload,
+//    which fits its buffer.
 //
 // This TU defines MET_CHECK so the nested Surf::Validate() calls on real
 // SuRF filters stay live regardless of the build type of the library.
@@ -129,6 +133,29 @@ bool LsmTree::CheckValidate(std::ostream& os) const {
                  compact_cursor_.size() << " compaction cursors for "
                                         << levels_.size()
                                         << " levels (cursors grow lazily)");
+  size_t occupied = 0, linked = 0;
+  for (size_t i = 0; i < cache_.size(); ++i) {
+    const CacheSlot& slot = cache_[i];
+    if (slot.table_id == kNoTable) continue;
+    ++occupied;
+    MET_CHECK_THAT(rep, CacheFind(slot.table_id, slot.block) == i,
+                   "cache slot " << i << " (table " << slot.table_id
+                                 << ", block " << slot.block
+                                 << ") unreachable through the index");
+    const RawBlock& b = slot.data;
+    MET_CHECK_THAT(rep,
+                   b.size <= b.capacity &&
+                       (b.offsets.empty() || b.offsets.back() < b.size),
+                   "cache slot " << i << " offsets past its payload");
+  }
+  for (uint32_t s : cache_index_) linked += s != kNoSlot;
+  MET_CHECK_THAT(rep, linked == occupied,
+                 "cache index links " << linked << " slots, " << occupied
+                                      << " occupied");
+  for (uint32_t s : cache_free_) {
+    MET_CHECK_THAT(rep, s < cache_.size() && cache_[s].table_id == kNoTable,
+                   "free-list slot " << s << " is occupied");
+  }
   MET_CHECK_THAT(rep, NumTables() <= options_.max_open_files,
                  NumTables() << " open table files exceed the "
                              << options_.max_open_files << " budget");

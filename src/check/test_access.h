@@ -10,11 +10,16 @@
 // results); tests only call Validate() afterwards, plus the destructor, and
 // every injector keeps destructors safe (no dangling pointers, no freed
 // memory — only counters, orderings, and encodings are damaged).
+//
+// A few read-only inspectors of private state (the LSM block cache) sit
+// alongside the injectors for tests that assert on it directly.
 #ifndef MET_CHECK_TEST_ACCESS_H_
 #define MET_CHECK_TEST_ACCESS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 namespace met {
 namespace check {
@@ -160,6 +165,36 @@ struct TestAccess {
   template <typename L>
   static void ZeroLsmEntryCount(L* t) {
     FirstTable(t)->num_entries = 0;
+  }
+
+  /// Empties the first occupied entry of the block cache's hash index, so
+  /// its slot is cached but unreachable. Requires a non-empty cache.
+  template <typename L>
+  static void DropLsmCacheIndexEntry(L* t) {
+    for (auto& s : t->cache_index_) {
+      if (s != L::kNoSlot) {
+        s = L::kNoSlot;
+        return;
+      }
+    }
+  }
+
+  /// Table id of every block in the block cache, one per occupied slot.
+  template <typename L>
+  static std::vector<uint64_t> LsmCachedTableIds(const L& t) {
+    std::vector<uint64_t> ids;
+    for (const auto& slot : t.cache_)
+      if (slot.table_id != L::kNoTable) ids.push_back(slot.table_id);
+    return ids;
+  }
+
+  /// Ids of the tables in the tree's levels.
+  template <typename L>
+  static std::vector<uint64_t> LsmLiveTableIds(const L& t) {
+    std::vector<uint64_t> ids;
+    for (const auto& level : t.levels_)
+      for (const auto& table : level) ids.push_back(table->id);
+    return ids;
   }
 
  private:

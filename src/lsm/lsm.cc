@@ -57,7 +57,14 @@ class BufReader {
     return true;
   }
 
+  bool Skip(size_t n) {
+    if (data_.size() - off_ < n) return false;
+    off_ += n;
+    return true;
+  }
+
   bool AtEnd() const { return off_ == data_.size(); }
+  size_t offset() const { return off_; }
 
  private:
   template <typename T>
@@ -72,22 +79,41 @@ class BufReader {
   size_t off_ = 0;
 };
 
-/// Decodes one block payload into *out, reusing its strings; false on any
-/// structural inconsistency (only reachable via corruption that collides
-/// with the block checksum).
-bool ParseBlock(std::string_view raw,
-                std::vector<std::pair<std::string, std::string>>* out) {
-  BufReader r(raw);
-  size_t n = 0;
-  for (; !r.AtEnd(); ++n) {
-    if (n == out->size()) out->emplace_back();
-    auto& [k, v] = (*out)[n];
+/// Calls f(offset) at the start of each entry of a block payload; false
+/// when an entry overruns the payload.
+template <typename F>
+bool WalkEntries(std::string_view payload, F&& f) {
+  BufReader r(payload);
+  while (!r.AtEnd()) {
+    f(r.offset());
     uint32_t klen, vlen;
-    if (!r.ReadU32(&klen) || !r.ReadString(klen, &k)) return false;
-    if (!r.ReadU32(&vlen) || !r.ReadString(vlen, &v)) return false;
+    if (!r.ReadU32(&klen) || !r.Skip(klen) || !r.ReadU32(&vlen) ||
+        !r.Skip(vlen))
+      return false;
   }
-  out->resize(n);
   return true;
+}
+
+/// The block's structural check: records where each entry starts, or
+/// returns false when the payload does not split into whole entries (only
+/// reachable via corruption that collides with the block checksum).
+/// `offsets` grows to exactly the entry count, so a reused one takes on no
+/// slack.
+bool IndexBlock(std::string_view payload, std::vector<uint32_t>* offsets) {
+  size_t n = 0;
+  if (!WalkEntries(payload, [&](size_t) { ++n; })) return false;
+  offsets->clear();
+  offsets->reserve(n);
+  WalkEntries(payload, [&](size_t off) {
+    offsets->push_back(static_cast<uint32_t>(off));
+  });
+  return true;
+}
+
+uint32_t LoadU32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
 /// Fence index lookup: the last block whose first key <= key (block 0 when
@@ -164,7 +190,12 @@ const char* LsmFilterTypeName(LsmFilterType t) {
 LsmTree::LsmTree(const LsmOptions& options) : options_(options) {
   env_ = options_.env != nullptr ? options_.env : &io::Env::Posix();
   levels_.resize(1);
-  cache_.resize(options_.block_cache_blocks);
+  cache_.resize(std::max<size_t>(options_.block_cache_blocks, 1));
+  size_t index_size = 1;
+  while (index_size < 2 * cache_.size()) index_size *= 2;
+  cache_index_.assign(index_size, kNoSlot);
+  for (size_t i = cache_.size(); i-- > 0;)
+    cache_free_.push_back(static_cast<uint32_t>(i));
   obs_collector_ =
       obs::MetricsRegistry::Global().AddCollector([this] { SyncObsCounters(); });
   if (options_.durable) {
@@ -211,6 +242,13 @@ void LsmTree::SimulateCrash() {
 }
 
 void LsmTree::CloseAndRemoveFile(SsTable& t) {
+  // The table id is never reused: free its cached blocks for the next miss.
+  for (size_t b = 0; b < t.block_first_key.size(); ++b) {
+    const uint32_t slot = CacheFind(t.id, b);
+    if (slot == kNoSlot) continue;
+    CacheUnlink(slot);
+    cache_free_.push_back(slot);
+  }
   if (t.file != nullptr) {
     (void)t.file->Close();  // dropping the table; close errors change nothing
     t.file.reset();
@@ -356,9 +394,10 @@ class LsmTree::MemCursor final : public Cursor {
 
 /// Walks a run of disjoint tables in key order (one L0 table, or a level's
 /// tables) block by block, from the first key >= lk. Scans go through the
-/// block cache and copy a few entries at a time out of the cache slot;
-/// compactions (`direct`) read and verify each block from the file
-/// themselves. Quarantined and corrupt blocks are skipped.
+/// block cache and copy a few entries at a time, as raw bytes plus offsets,
+/// out of the cache slot; compactions (`direct`) read and verify each block
+/// from the file into the cursor's own buffer and walk it in place.
+/// Quarantined and corrupt blocks are skipped.
 class LsmTree::RunCursor final : public Cursor {
  public:
   RunCursor(LsmTree* tree, std::vector<const SsTable*> tables,
@@ -368,7 +407,7 @@ class LsmTree::RunCursor final : public Cursor {
     Load(lk);
   }
   void Next() override {
-    if (++pos_ < buf_.size()) {
+    if (++pos_ < buf_.count()) {
       Settle();
     } else {
       Load({});
@@ -380,18 +419,9 @@ class LsmTree::RunCursor final : public Cursor {
   // copies only what it is likely to visit.
   static constexpr size_t kCacheCopyBatch = 16;
 
-  static size_t LowerBound(const Block& b, std::string_view lk) {
-    if (lk.empty()) return 0;
-    return std::lower_bound(b.begin(), b.end(), lk,
-                            [](const auto& e, std::string_view k) {
-                              return e.first < k;
-                            }) -
-           b.begin();
-  }
-
   void Settle() {
-    key_ = buf_[pos_].first;
-    value_ = buf_[pos_].second;
+    key_ = buf_.key(pos_);
+    value_ = buf_.value(pos_);
   }
 
   // Fills buf_ with the next entries >= lk; invalid at the end of the run
@@ -406,29 +436,28 @@ class LsmTree::RunCursor final : public Cursor {
         continue;
       }
       if (direct_) {
-        const bool ok =
-            tree_->ReadBlockDirect(t, block_++, &raw_, &buf_, &status_);
+        const bool ok = tree_->ReadBlockDirect(t, block_++, &buf_, &status_);
         if (!status_.ok()) break;
         if (!ok) continue;
-        pos_ = LowerBound(buf_, lk);
+        pos_ = buf_.LowerBound(lk);
       } else {
-        const Block* b = tree_->GetBlock(t, block_);
+        const RawBlock* b = tree_->GetBlock(t, block_);
         size_t from = entry_, to = 0;
         if (b != nullptr) {
-          if (from == 0) from = LowerBound(*b, lk);
-          to = std::min(b->size(), from + kCacheCopyBatch);
-          buf_.assign(b->begin() + from, b->begin() + to);
+          if (from == 0) from = b->LowerBound(lk);
+          to = std::min(b->count(), from + kCacheCopyBatch);
+          buf_.CopyFrom(*b, from, to);
         } else {
-          buf_.clear();
+          buf_.Clear();
         }
-        if (b == nullptr || to == b->size()) {
+        if (b == nullptr || to == b->count()) {
           ++block_;
           entry_ = 0;
         } else {
           entry_ = to;
         }
       }
-      if (pos_ < buf_.size()) {
+      if (pos_ < buf_.count()) {
         valid_ = true;
         Settle();
         return;
@@ -442,9 +471,8 @@ class LsmTree::RunCursor final : public Cursor {
   const bool direct_;
   size_t table_ = 0, block_ = 0;
   size_t entry_ = 0;  // cache mode: next entry of block_ to copy
-  Block buf_;
+  RawBlock buf_;
   size_t pos_ = 0;
-  std::string raw_;  // direct mode: the block as read from the file
 };
 
 /// K-way merge of sources given oldest first: yields each key once, with
@@ -1035,9 +1063,111 @@ void LsmTree::Quarantine(const SsTable& t, size_t block_idx) {
   obs::TraceEvent("lsm.block.quarantine");
 }
 
+std::string_view LsmTree::RawBlock::key(size_t i) const {
+  const char* e = bytes.get() + offsets[i];
+  return {e + sizeof(uint32_t), LoadU32(e)};
+}
+
+std::string_view LsmTree::RawBlock::value(size_t i) const {
+  const char* e = bytes.get() + offsets[i];
+  const char* v = e + sizeof(uint32_t) + LoadU32(e);
+  return {v + sizeof(uint32_t), LoadU32(v)};
+}
+
+size_t LsmTree::RawBlock::LowerBound(std::string_view k) const {
+  size_t lo = 0, hi = count();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (key(mid) < k) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+char* LsmTree::RawBlock::Prepare(size_t n) {
+  if (n > capacity) {
+    bytes = std::make_unique_for_overwrite<char[]>(n);
+    capacity = n;
+  }
+  return bytes.get();
+}
+
+void LsmTree::RawBlock::CopyFrom(const RawBlock& src, size_t from, size_t to) {
+  Clear();
+  if (from == to) return;
+  const uint32_t begin = src.offsets[from];
+  const size_t end = to == src.count() ? src.size : src.offsets[to];
+  std::memcpy(Prepare(end - begin), src.bytes.get() + begin, end - begin);
+  size = end - begin;
+  for (size_t i = from; i < to; ++i) offsets.push_back(src.offsets[i] - begin);
+}
+
+size_t LsmTree::CacheHome(uint64_t table_id, size_t block) const {
+  uint64_t h = (table_id * 0x9E3779B97F4A7C15ull) ^ block;
+  h = (h ^ (h >> 31)) * 0xBF58476D1CE4E5B9ull;
+  return (h ^ (h >> 29)) & (cache_index_.size() - 1);
+}
+
+uint32_t LsmTree::CacheFind(uint64_t table_id, size_t block) const {
+  const size_t mask = cache_index_.size() - 1;
+  for (size_t i = CacheHome(table_id, block);; i = (i + 1) & mask) {
+    const uint32_t slot = cache_index_[i];
+    if (slot == kNoSlot ||
+        (cache_[slot].table_id == table_id && cache_[slot].block == block))
+      return slot;
+  }
+}
+
+void LsmTree::CacheLink(uint32_t slot) {
+  const size_t mask = cache_index_.size() - 1;
+  size_t i = CacheHome(cache_[slot].table_id, cache_[slot].block);
+  while (cache_index_[i] != kNoSlot) i = (i + 1) & mask;
+  cache_index_[i] = slot;
+}
+
+void LsmTree::CacheUnlink(uint32_t slot) {
+  const size_t mask = cache_index_.size() - 1;
+  size_t hole = CacheHome(cache_[slot].table_id, cache_[slot].block);
+  while (cache_index_[hole] != slot) hole = (hole + 1) & mask;
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole when their home position does not lie between the hole and them.
+  for (size_t j = (hole + 1) & mask; cache_index_[j] != kNoSlot;
+       j = (j + 1) & mask) {
+    const CacheSlot& e = cache_[cache_index_[j]];
+    const size_t home = CacheHome(e.table_id, e.block);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      cache_index_[hole] = cache_index_[j];
+      hole = j;
+    }
+  }
+  cache_index_[hole] = kNoSlot;
+  cache_[slot].table_id = kNoTable;
+  cache_[slot].referenced = false;
+}
+
+uint32_t LsmTree::CacheVictim() {
+  if (!cache_free_.empty()) {
+    const uint32_t slot = cache_free_.back();
+    cache_free_.pop_back();
+    return slot;
+  }
+  while (true) {
+    const auto slot = static_cast<uint32_t>(cache_hand_);
+    cache_hand_ = (cache_hand_ + 1) % cache_.size();
+    if (!cache_[slot].referenced) {
+      CacheUnlink(slot);
+      return slot;
+    }
+    cache_[slot].referenced = false;
+  }
+}
+
 bool LsmTree::ReadBlockDirect(const SsTable& t, size_t block_idx,
-                              std::string* raw, Block* out,
-                              io::Status* status) {
+                              RawBlock* out, io::Status* status) {
+  out->Clear();
   if (t.file == nullptr) {
     *status = io::Status::IoError("table file not open");
     return false;
@@ -1048,60 +1178,47 @@ bool LsmTree::ReadBlockDirect(const SsTable& t, size_t block_idx,
     Quarantine(t, block_idx);
     return false;
   }
-  raw->resize(len + kBlockCrcBytes);
-  io::Status s = t.file->ReadFull(off, raw->data(), raw->size());
+  char* p = out->Prepare(size_t{len} + kBlockCrcBytes);
+  io::Status s = t.file->ReadFull(off, p, size_t{len} + kBlockCrcBytes);
   if (!s.ok()) {
     *status = s;
     return false;
   }
-  uint32_t stored;
-  std::memcpy(&stored, raw->data() + len, sizeof(stored));
-  if (io::Crc32c(raw->data(), size_t{len}) != stored ||
-      !ParseBlock(std::string_view(raw->data(), len), out)) {
+  if (io::Crc32c(p, size_t{len}) != LoadU32(p + len) ||
+      !IndexBlock(std::string_view(p, len), &out->offsets)) {
     Quarantine(t, block_idx);
     return false;
   }
+  out->size = len;
   return true;
 }
 
-const LsmTree::Block* LsmTree::GetBlock(const SsTable& t, size_t block_idx) {
+const LsmTree::RawBlock* LsmTree::GetBlock(const SsTable& t,
+                                           size_t block_idx) {
   if (t.quarantined.count(block_idx) != 0) return nullptr;
-  auto key = std::make_pair(t.id, block_idx);
-  auto it = cache_index_.find(key);
-  if (it != cache_index_.end()) {
-    CacheSlot& slot = cache_[it->second];
-    slot.referenced = true;
+  uint32_t slot = CacheFind(t.id, block_idx);
+  if (slot != kNoSlot) {
+    cache_[slot].referenced = true;
     ++stats_.block_cache_hits;  // published lazily by SyncObsCounters()
-    return &slot.entries;
+    return &cache_[slot].data;
   }
   ++stats_.block_reads;
-  std::string raw;
-  Block entries;
+  slot = CacheVictim();
+  CacheSlot& victim = cache_[slot];
   io::Status s;
-  if (!ReadBlockDirect(t, block_idx, &raw, &entries, &s)) {
+  if (!ReadBlockDirect(t, block_idx, &victim.data, &s)) {
     if (!s.ok()) {  // unreadable: quarantined like a corrupt block
       last_io_error_ = s;
       Quarantine(t, block_idx);
     }
+    cache_free_.push_back(slot);
     return nullptr;
   }
-  // CLOCK insert.
-  while (true) {
-    CacheSlot& slot = cache_[cache_hand_];
-    if (!slot.referenced) {
-      if (slot.table_id != ~0ull)
-        cache_index_.erase({slot.table_id, slot.block});
-      slot.table_id = t.id;
-      slot.block = block_idx;
-      slot.entries = std::move(entries);
-      slot.referenced = true;
-      cache_index_[key] = cache_hand_;
-      cache_hand_ = (cache_hand_ + 1) % cache_.size();
-      return &slot.entries;
-    }
-    slot.referenced = false;
-    cache_hand_ = (cache_hand_ + 1) % cache_.size();
-  }
+  victim.table_id = t.id;
+  victim.block = block_idx;
+  victim.referenced = true;
+  CacheLink(slot);
+  return &victim.data;
 }
 
 bool LsmTree::FilterMayContain(const SsTable& t, std::string_view key) {
@@ -1140,12 +1257,10 @@ bool LsmTree::TableGet(const SsTable& t, std::string_view key,
   } else if (!FilterMayContain(t, key)) {
     return false;
   }
-  const Block* entries = GetBlock(t, FenceBlock(t.block_first_key, key));
-  if (entries == nullptr) return false;  // quarantined: fall through to older
-  auto eit = std::lower_bound(
-      entries->begin(), entries->end(), key,
-      [](const auto& e, std::string_view k) { return e.first < k; });
-  const bool found = eit != entries->end() && eit->first == key;
+  const RawBlock* b = GetBlock(t, FenceBlock(t.block_first_key, key));
+  if (b == nullptr) return false;  // quarantined: fall through to older
+  const size_t i = b->LowerBound(key);
+  const bool found = i < b->count() && b->key(i) == key;
   if (filtered) {
     // Resolve the filter's positive answer against the block: present keys
     // are true positives, absent ones false positives (live FPR). Published
@@ -1156,7 +1271,7 @@ bool LsmTree::TableGet(const SsTable& t, std::string_view key,
       ++(found ? outcomes_.surf_tp : outcomes_.surf_fp);
   }
   if (!found) return false;
-  if (value != nullptr) *value = eit->second;
+  if (value != nullptr) value->assign(b->value(i));
   return true;
 }
 
@@ -1226,15 +1341,13 @@ std::optional<std::string> LsmTree::TableSeek(const SsTable& t,
   if (lk > t.max_key) return std::nullopt;
   size_t block = FenceBlock(t.block_first_key, lk);
   while (block < t.block_first_key.size()) {
-    const Block* entries = GetBlock(t, block);
-    if (entries == nullptr) {  // quarantined: skip to the next block
+    const RawBlock* b = GetBlock(t, block);
+    if (b == nullptr) {  // quarantined: skip to the next block
       ++block;
       continue;
     }
-    auto eit = std::lower_bound(
-        entries->begin(), entries->end(), lk,
-        [](const auto& e, std::string_view k) { return e.first < k; });
-    if (eit != entries->end()) return eit->first;
+    const size_t i = b->LowerBound(lk);
+    if (i < b->count()) return std::string(b->key(i));
     ++block;
   }
   return std::nullopt;
@@ -1368,11 +1481,12 @@ uint64_t LsmTree::Count(std::string_view lk, std::string_view hk) {
     // Scan blocks.
     for (size_t block = FenceBlock(t.block_first_key, lk);
          block < t.block_first_key.size(); ++block) {
-      if (t.block_first_key[block] > std::string(hk)) break;
-      const Block* entries = GetBlock(t, block);
-      if (entries == nullptr) continue;  // quarantined
-      for (const auto& [k, v] : *entries)
-        if (k >= lk && k <= hk) scanned.insert(k);
+      if (std::string_view(t.block_first_key[block]) > hk) break;
+      const RawBlock* b = GetBlock(t, block);
+      if (b == nullptr) continue;  // quarantined
+      for (size_t i = b->LowerBound(lk); i < b->count() && b->key(i) <= hk;
+           ++i)
+        scanned.emplace(b->key(i));
     }
   };
 
@@ -1434,17 +1548,14 @@ MemoryBreakdown LsmTree::Breakdown() const {
   b.Add("fence_indexes", fences);
   b.Add("filters", filters);
 
-  // Block cache: slot array plus decoded entries (and the CLOCK index map).
-  size_t cache = cache_.capacity() * sizeof(CacheSlot);
-  for (const auto& slot : cache_) {
-    cache += slot.entries.capacity() *
-             sizeof(std::pair<std::string, std::string>);
-    for (const auto& [k, v] : slot.entries)
-      cache += StrHeapBytes(k) + StrHeapBytes(v);
-  }
-  cache += cache_index_.size() *
-           (sizeof(std::pair<const std::pair<uint64_t, size_t>, size_t>) +
-            kMapNodeOverhead);
+  // Block cache: slots with their raw bytes and entry offsets, the hash
+  // index and the free list.
+  size_t cache = cache_.capacity() * sizeof(CacheSlot) +
+                 (cache_index_.capacity() + cache_free_.capacity()) *
+                     sizeof(uint32_t);
+  for (const auto& slot : cache_)
+    cache += slot.data.capacity +
+             slot.data.offsets.capacity() * sizeof(uint32_t);
   b.Add("block_cache", cache);
   return b;
 }

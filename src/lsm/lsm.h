@@ -217,7 +217,10 @@ class LsmTree {
   size_t MemoryBytes() const;
   size_t MemoryUse() const { return MemoryBytes(); }
 
-  /// Component attribution; TotalBytes() == MemoryBytes() (same terms).
+  /// Component attribution: memtable, table_metadata, fence_indexes,
+  /// filters, and block_cache (slots with their raw block bytes and entry
+  /// offsets, the hash index and the free list). TotalBytes() ==
+  /// MemoryBytes() (same terms).
   MemoryBreakdown Breakdown() const;
 
   /// Verifies level ordering rules (L0 keys per-table sorted; levels >= 1
@@ -257,7 +260,30 @@ class LsmTree {
     mutable std::set<size_t> quarantined;
   };
 
-  using Block = std::vector<std::pair<std::string, std::string>>;
+  /// One verified block payload, searched in place: the bytes exactly as
+  /// stored on disk plus the start offset of each entry. The buffer is
+  /// reused across reads and grows to exactly the largest block it has held,
+  /// never by doubling.
+  struct RawBlock {
+    std::unique_ptr<char[]> bytes;
+    size_t capacity = 0;  // bytes allocated
+    size_t size = 0;      // payload length
+    std::vector<uint32_t> offsets;
+
+    size_t count() const { return offsets.size(); }
+    std::string_view key(size_t i) const;
+    std::string_view value(size_t i) const;
+    /// First entry whose key is >= k (count() when none).
+    size_t LowerBound(std::string_view k) const;
+    /// Room for n bytes at bytes.get(), growing to exactly n.
+    char* Prepare(size_t n);
+    void Clear() {
+      size = 0;
+      offsets.clear();
+    }
+    /// Replaces this block with entries [from, to) of `src`.
+    void CopyFrom(const RawBlock& src, size_t from, size_t to);
+  };
   using MemTable = std::map<std::string, std::string, std::less<>>;
 
   // Streaming merge (DESIGN.md, "LSM merge cursor and table builder"):
@@ -280,17 +306,18 @@ class LsmTree {
   io::Status Compact(size_t level, const std::vector<const SsTable*>& upper,
                      const std::vector<const SsTable*>& lower);
 
-  /// nullptr when the block is quarantined (checksum failure or unreadable)
-  /// — callers treat that as "no entries here" and fall through. The block
-  /// lives in a cache slot that the next GetBlock call may overwrite: never
-  /// hold the pointer across another GetBlock.
-  const Block* GetBlock(const SsTable& t, size_t block_idx);
+  /// nullptr when the block is quarantined (checksum failure, broken
+  /// structure or unreadable) — callers treat that as "no entries here" and
+  /// fall through. The block lives in a cache slot that the next GetBlock
+  /// call may overwrite: never hold the pointer across another GetBlock.
+  const RawBlock* GetBlock(const SsTable& t, size_t block_idx);
   void Quarantine(const SsTable& t, size_t block_idx);
-  /// Reads and checksum-verifies one block straight from the file, bypassing
-  /// the cache. A corrupt block is quarantined and yields false with an OK
-  /// *status; a file-level I/O failure sets *status.
-  bool ReadBlockDirect(const SsTable& t, size_t block_idx, std::string* raw,
-                       Block* out, io::Status* status);
+  /// Reads one block straight from the file into *out, checks its CRC32C
+  /// and records its entry offsets (the structural check). A corrupt block
+  /// is quarantined and yields false with an OK *status; a file-level I/O
+  /// failure sets *status. *out is empty after a false return.
+  bool ReadBlockDirect(const SsTable& t, size_t block_idx, RawBlock* out,
+                       io::Status* status);
   /// `filter_hint`, when non-null, is this table's precomputed filter answer
   /// from the batched fan-out in Lookup; the probe is then accounted here
   /// (scalar order) instead of re-executed.
@@ -366,15 +393,32 @@ class LsmTree {
   FilterOutcomes outcomes_synced_ MET_GUARDED_BY(obs_mu_);
   obs::MetricsRegistry::CollectorId obs_collector_ = 0;
 
-  // Block cache: CLOCK over (table_id, block) -> decoded entries.
+  // Block cache (DESIGN.md, "Block cache"): CLOCK over slots holding
+  // verified raw blocks, found through an open-addressing hash index on
+  // (table_id, block). A miss evicts first and reads straight into the
+  // victim's buffer; a removed table's slots go on the free list.
+  static constexpr uint64_t kNoTable = ~uint64_t{0};
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
   struct CacheSlot {
-    uint64_t table_id = ~0ull;
+    uint64_t table_id = kNoTable;
     size_t block = 0;
-    Block entries;
     bool referenced = false;
+    RawBlock data;
   };
+  /// Slot holding (table_id, block), or kNoSlot.
+  uint32_t CacheFind(uint64_t table_id, size_t block) const;
+  /// Takes a free slot, else evicts the CLOCK victim; the slot returned is
+  /// unlinked, marked free and not on the free list.
+  uint32_t CacheVictim();
+  void CacheLink(uint32_t slot);
+  /// Removes a linked slot from the index and marks it free; its buffer is
+  /// kept for the next fill.
+  void CacheUnlink(uint32_t slot);
+  size_t CacheHome(uint64_t table_id, size_t block) const;
+
   std::vector<CacheSlot> cache_;
-  std::map<std::pair<uint64_t, size_t>, size_t> cache_index_;
+  std::vector<uint32_t> cache_index_;  // slot numbers; kNoSlot = empty
+  std::vector<uint32_t> cache_free_;   // free slots, taken before CLOCK
   size_t cache_hand_ = 0;
 };
 

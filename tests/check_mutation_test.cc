@@ -292,5 +292,13 @@ TEST(CheckMutation, LsmEntryCount) {
                  "table entry count zeroed");
 }
 
+TEST(CheckMutation, LsmCacheIndexEntry) {
+  LsmTree t(MutationLsmOptions("cache"));
+  FillLsm(&t);
+  for (const std::string& k : Keys(2000)) ASSERT_TRUE(t.Lookup(k));
+  ExpectDetected(&t, [](auto* p) { TestAccess::DropLsmCacheIndexEntry(p); },
+                 "cached block unreachable through the hash index");
+}
+
 }  // namespace
 }  // namespace met

@@ -3,6 +3,7 @@
 // the short-write regression pins for the storage layer.
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
 
@@ -478,6 +479,120 @@ TEST(LsmRecoveryTest, CorruptBlockIsQuarantinedAndOlderLevelServes) {
   EXPECT_GT(old_served, 0u) << "no fall-through happened";
   EXPECT_GT(new_served, 0u);
   EXPECT_GT(tree->stats().block_corruptions, 0u);
+  WipeDir(dir);
+}
+
+// Newest table file (highest id) in `dir`.
+std::string NewestTable(const std::string& dir) {
+  std::vector<std::string> entries;
+  EXPECT_TRUE(io::Env::Posix().ListDir(dir, &entries).ok());
+  std::string newest;
+  uint64_t best = 0;
+  for (const auto& e : entries) {
+    if (e.rfind("sst_", 0) != 0) continue;
+    const uint64_t id = std::stoull(e.substr(4));
+    if (newest.empty() || id > best) {
+      best = id;
+      newest = e;
+    }
+  }
+  return dir + "/" + newest;
+}
+
+// Rewrites the first entry's klen in block 0 of a table so that the entry
+// overruns the block, then recomputes the block's CRC32C: only the
+// structural check made when the block is read can catch the fault.
+void BreakFirstBlockStructure(const std::string& path) {
+  io::Env& env = io::Env::Posix();
+  std::string blob;
+  ASSERT_TRUE(env.ReadFileToString(path, &blob).ok());
+  ASSERT_GE(blob.size(), 16u);
+  // Trailer: u64 footer offset, u32 footer crc, u32 magic. Footer: u32
+  // block count, then per block u32 key length, first key, u64 offset and
+  // u32 payload length. Block 0's payload starts at offset 0.
+  uint64_t footer = 0;
+  std::memcpy(&footer, blob.data() + blob.size() - 16, sizeof(footer));
+  ASSERT_LT(footer + 8, blob.size());
+  uint32_t first_key_len = 0, len = 0;
+  std::memcpy(&first_key_len, blob.data() + footer + 4, sizeof(uint32_t));
+  std::memcpy(&len, blob.data() + footer + 8 + first_key_len + 8,
+              sizeof(uint32_t));
+  ASSERT_LE(len + 4u, footer);
+  std::memcpy(blob.data(), &len, sizeof(len));  // key runs past the payload
+  const uint32_t crc = io::Crc32c(blob.data(), size_t{len});
+  std::memcpy(blob.data() + len, &crc, sizeof(crc));
+  ASSERT_TRUE(env.WriteStringToFile(path, blob, false).ok());
+}
+
+TEST(LsmRecoveryTest, BrokenBlockWithValidCrcIsQuarantined) {
+  const std::string dir = TestDir("broken_structure");
+  (void)io::Env::Posix().MkDir(dir);  // may exist; WipeDir empties it
+  WipeDir(dir);
+  LsmOptions opt = TinyDurable(dir);
+  opt.memtable_bytes = 1 << 20;  // one L0 table per Finish
+  constexpr int kKeys = 400;
+  {
+    auto tree = LsmTree::Open(opt);
+    for (int i = 0; i < kKeys; ++i) ASSERT_TRUE(tree->Put(Key(i), "old").ok());
+    ASSERT_TRUE(tree->Finish().ok());
+    for (int i = 0; i < kKeys; ++i) ASSERT_TRUE(tree->Put(Key(i), "new").ok());
+    ASSERT_TRUE(tree->Finish().ok());
+    ASSERT_EQ(tree->NumTables(), 2u);
+  }
+  BreakFirstBlockStructure(NewestTable(dir));
+
+  // The keys of the broken block (a prefix of the key space) fall through
+  // to the older table; every other key still reads "new".
+  auto old_prefix = [&](const std::vector<std::string>& got) {
+    size_t n = 0;
+    while (n < got.size() && got[n] == "old") ++n;
+    for (size_t i = n; i < got.size(); ++i) EXPECT_EQ(got[i], "new") << i;
+    return n;
+  };
+  auto lookup_all = [&](LsmTree* tree) {
+    std::vector<std::string> got(kKeys);
+    for (int i = 0; i < kKeys; ++i)
+      EXPECT_TRUE(tree->Lookup(Key(i), &got[i])) << Key(i);
+    return got;
+  };
+
+  size_t broken = 0;
+  {  // cached path: Scan
+    auto tree = LsmTree::Open(opt);
+    std::vector<std::string> got;
+    tree->Scan("", [&](std::string_view k, std::string_view v) {
+      EXPECT_EQ(k, Key(static_cast<int>(got.size())));
+      got.emplace_back(v);
+      return true;
+    });
+    ASSERT_EQ(got.size(), size_t{kKeys});
+    broken = old_prefix(got);
+    EXPECT_GT(broken, 0u);
+    EXPECT_LT(broken, size_t{kKeys});
+    EXPECT_EQ(tree->stats().block_corruptions, 1u);
+  }
+  {  // cached path: Lookup
+    auto tree = LsmTree::Open(opt);
+    EXPECT_EQ(old_prefix(lookup_all(tree.get())), broken);
+    EXPECT_EQ(tree->stats().block_corruptions, 1u);
+  }
+  {  // direct path: a compaction salvages the rest of the table
+    auto tree = LsmTree::Open(opt);
+    for (int g = 0; g < 3; ++g) {  // the third flush compacts five L0 tables
+      ASSERT_TRUE(tree->Put("zz" + std::to_string(g), "x").ok());
+      ASSERT_TRUE(tree->Finish().ok());
+    }
+    ASSERT_EQ(tree->stats().compactions, 1u);
+    EXPECT_TRUE(tree->last_io_error().ok())
+        << tree->last_io_error().ToString();
+    EXPECT_EQ(tree->stats().block_corruptions, 1u);
+    EXPECT_EQ(old_prefix(lookup_all(tree.get())), broken);
+  }
+  {  // the broken table is gone; the merged tables read clean
+    auto tree = LsmTree::Open(opt);
+    EXPECT_EQ(old_prefix(lookup_all(tree.get())), broken);
+    EXPECT_EQ(tree->stats().block_corruptions, 0u);
+  }
   WipeDir(dir);
 }
 

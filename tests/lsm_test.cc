@@ -1,4 +1,5 @@
 // Tests for the mini LSM engine and the ARF baseline.
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -7,6 +8,7 @@
 #include <string>
 
 #include "arf/arf.h"
+#include "check/test_access.h"
 #include "common/random.h"
 #include "io/io.h"
 #include "keys/keygen.h"
@@ -336,6 +338,94 @@ TEST(LsmMergeTest, ScanSurvivesTwoSlotBlockCache) {
   lsm.ResetStats();
   ExpectMatchesOracle(&lsm, oracle, &rng, "two-slot cache");
   EXPECT_GT(lsm.stats().block_reads, 100u);
+}
+
+// ---------- Block cache ----------
+
+// Compaction removes its input tables, and their cached blocks go with
+// them: the slots are freed for the next misses instead of waiting for the
+// CLOCK hand.
+TEST(LsmCacheTest, CompactionDropsRemovedTablesFromCache) {
+  LsmOptions opt = MergeOptions("cache_drop");
+  opt.durable = false;
+  opt.block_cache_blocks = 64;
+  opt.level1_bytes = 1 << 20;  // no L1 -> L2 compaction
+  LsmTree lsm(opt);
+  Oracle oracle;
+  for (int g = 0; g < 5; ++g) {  // the fifth flush compacts L0 into L1
+    if (g == 4) {
+      ASSERT_EQ(lsm.stats().compactions, 0u);
+      ASSERT_EQ(lsm.NumTables(), 4u);
+      for (const auto& [k, v] : oracle) ASSERT_TRUE(lsm.Lookup(k));
+      ASSERT_FALSE(check::TestAccess::LsmCachedTableIds(lsm).empty());
+    }
+    for (int i = 0; i < 40; ++i) {
+      std::string k = "k" + std::to_string(g * 40 + i);
+      ASSERT_TRUE(lsm.Put(k, "v" + k).ok());
+      oracle[k] = "v" + k;
+    }
+    ASSERT_TRUE(lsm.Finish().ok());
+  }
+  ASSERT_EQ(lsm.stats().compactions, 1u);
+  // Every cached block belonged to an L0 table the compaction removed.
+  EXPECT_TRUE(check::TestAccess::LsmCachedTableIds(lsm).empty());
+  Random rng(75);
+  ExpectMatchesOracle(&lsm, oracle, &rng, "after compaction");
+  const std::vector<uint64_t> live = check::TestAccess::LsmLiveTableIds(lsm);
+  const std::vector<uint64_t> cached =
+      check::TestAccess::LsmCachedTableIds(lsm);
+  EXPECT_FALSE(cached.empty());
+  for (uint64_t id : cached)
+    EXPECT_NE(std::find(live.begin(), live.end(), id), live.end()) << id;
+}
+
+// Cache slots reuse their buffers across blocks of varying length. Each
+// must stay sized to the largest block it held: a buffer that grew by
+// doubling would leave a slot near twice its block's size.
+TEST(LsmCacheTest, SlotBuffersStaySizedToTheirBlocks) {
+  LsmOptions opt;
+  opt.dir = "/tmp/met_lsm_test_cache_mem";
+  opt.block_cache_blocks = 8;
+  LsmTree lsm(opt);
+  constexpr size_t kKeyBytes = 9, kSmall = 8, kLarge = 1000, kCount = 3000;
+  Random rng(79);
+  std::vector<std::string> keys, values;
+  for (size_t i = 0; i < kCount; ++i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "key%06zu", i);
+    keys.emplace_back(buf);
+    values.emplace_back(rng.Uniform(4) == 0 ? kLarge : kSmall,
+                        static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(lsm.Put(keys.back(), values.back()).ok());
+  }
+  ASSERT_TRUE(lsm.Finish().ok());
+  lsm.ResetStats();
+  for (int pass = 0; pass < 3; ++pass) {
+    for (size_t n = 0; n < kCount; ++n) {
+      const size_t i = rng.Uniform(kCount);
+      std::string got;
+      ASSERT_TRUE(lsm.Lookup(keys[i], &got)) << keys[i];
+      ASSERT_EQ(got, values[i]) << keys[i];
+    }
+  }
+  EXPECT_GT(lsm.stats().block_reads, 50 * opt.block_cache_blocks);
+
+  // A block is cut once its payload reaches block_bytes, so it ends at most
+  // one entry past that; the slot also holds the CRC trailer while reading,
+  // and one offset per entry.
+  const size_t entry_overhead = 2 * sizeof(uint32_t) + kKeyBytes;
+  const size_t largest_block =
+      opt.block_bytes - 1 + entry_overhead + kLarge + sizeof(uint32_t);
+  const size_t max_entries =
+      (opt.block_bytes - 1) / (entry_overhead + kSmall) + 1;
+  constexpr size_t kSlotOverhead = 256;  // slot header, index, free list
+  const size_t bound = opt.block_cache_blocks *
+                       (largest_block + max_entries * sizeof(uint32_t) +
+                        kSlotOverhead);
+  const MemoryBreakdown b = lsm.Breakdown();
+  ASSERT_NE(b.Find("block_cache"), nullptr);
+  EXPECT_LE(b.Find("block_cache")->TotalBytes(), bound) << b.ToString();
+  EXPECT_EQ(b.TotalBytes(), lsm.MemoryBytes());
 }
 
 // ---------- ARF ----------

@@ -248,6 +248,7 @@ DiffResult LsmTarget(const std::vector<std::string>& keys,
   opt.sstable_target_bytes = 64 << 10;
   opt.level1_bytes = 256 << 10;
   opt.filter = LsmFilterType::kBloom;
+  opt.block_cache_blocks = 4;  // far fewer slots than blocks: reads evict
   LsmTree tree(opt);
   std::map<std::string, std::string> oracle;
 
