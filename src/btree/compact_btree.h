@@ -12,9 +12,10 @@
 // the internal levels reference leaf indices, so they cost 4 bytes per
 // separator regardless of key size.
 //
-// Merge support (Section 5.2.1): MergeApply() appends a sorted run of new
-// entries after the existing sorted entries and restores order with an
-// in-place merge, then rebuilds the implicit internal levels bottom-up.
+// Merge support (Section 5.2.1): MergeApply() merges a sorted run of new
+// entries into the existing ones; BuildFrom() bulk-builds from a sorted
+// stream (the hybrid index's drain). Both rebuild the implicit internal
+// levels bottom-up.
 #ifndef MET_BTREE_COMPACT_BTREE_H_
 #define MET_BTREE_COMPACT_BTREE_H_
 
@@ -63,12 +64,9 @@ class FlatStore {
     values_.push_back(v);
   }
 
-  /// Replaces contents with `entries` (sorted, unique, no tombstones).
-  void Assign(std::vector<MergeEntry<Key, Value>>&& entries) {
-    Clear();
-    keys_.reserve(entries.size());
-    values_.reserve(entries.size());
-    for (auto& e : entries) Append(e.key, e.value);
+  void Reserve(size_t n) {
+    keys_.reserve(n);
+    values_.reserve(n);
   }
 
   size_t MemoryBytes() const {
@@ -132,11 +130,9 @@ class BlobStore {
     values_.push_back(v);
   }
 
-  void Assign(std::vector<MergeEntry<std::string, Value>>&& entries) {
-    Clear();
-    values_.reserve(entries.size());
-    offsets_.reserve(entries.size() + 1);
-    for (auto& e : entries) Append(e.key, e.value);
+  void Reserve(size_t n) {
+    values_.reserve(n);
+    offsets_.reserve(n + 1);
   }
 
   size_t MemoryBytes() const {
@@ -209,7 +205,20 @@ class CompactBTree {
   void Build(std::vector<Entry>&& entries) {
     MET_DCHECK(std::is_sorted(entries.begin(), entries.end(),
                           [](const Entry& a, const Entry& b) { return a.key < b.key; }));
-    store_.Assign(std::move(entries));
+    BuildFrom(entries.size(), [&entries](auto&& emit) {
+      for (const Entry& e : entries) emit(e.key, e.value);
+    });
+  }
+
+  /// Bulk-builds from a sorted, unique stream: `fill(emit)` calls
+  /// emit(key, value) for at most `max_entries` entries in key order.
+  template <typename Fill>
+  void BuildFrom(size_t max_entries, Fill&& fill) {
+    store_.Clear();
+    store_.Reserve(max_entries);
+    fill([this](const auto& key, const Value& value) {
+      store_.Append(key, value);
+    });
     store_.ShrinkToFit();
     BuildLevels();
   }
@@ -244,9 +253,7 @@ class CompactBTree {
         }
       }
     }
-    store_.Assign(std::move(merged));
-    store_.ShrinkToFit();
-    BuildLevels();
+    Build(std::move(merged));
   }
 
   /// Unified point lookup (met::ReadOnlyPointIndex surface).
@@ -364,6 +371,13 @@ class CompactBTree {
     for (const auto& level : levels_) sep += level.capacity() * sizeof(uint32_t);
     b.Add("separator_levels", sep);
     return b;
+  }
+
+  /// Visits every entry in key order: fn(KeyView, Value).
+  template <typename Fn>
+  void VisitAll(Fn&& fn) const {
+    for (size_t i = 0; i < store_.size(); ++i)
+      fn(store_.KeyAt(i), store_.ValueAt(i));
   }
 
   /// Read access for merges into other structures.

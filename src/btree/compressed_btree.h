@@ -43,16 +43,33 @@ class CompressedBTree {
 
   /// Builds from sorted, unique entries.
   void Build(std::vector<Entry>&& entries) {
+    BuildFrom(entries.size(), [&entries](auto&& emit) {
+      for (const Entry& e : entries) emit(e.key, e.value);
+    });
+  }
+
+  /// Bulk-builds from a sorted, unique stream (`fill(emit)` calls
+  /// emit(key, value) in key order), compressing one page at a time.
+  template <typename Fill>
+  void BuildFrom(size_t /*max_entries*/, Fill&& fill) {
     pages_.clear();
     first_keys_.clear();
-    size_ = entries.size();
-    for (size_t i = 0; i < entries.size(); i += PageEntries) {
-      size_t n = std::min<size_t>(PageEntries, entries.size() - i);
-      first_keys_.push_back(entries[i].key);
-      std::string raw = SerializePage(&entries[i], n);
+    size_ = 0;
+    std::vector<Entry> page;
+    page.reserve(PageEntries);
+    auto seal = [&] {
+      first_keys_.push_back(page.front().key);
+      std::string raw = SerializePage(page.data(), page.size());
       pages_.push_back({compressed_internal::Deflate(raw), raw.size(),
-                        static_cast<uint32_t>(n)});
-    }
+                        static_cast<uint32_t>(page.size())});
+      size_ += page.size();
+      page.clear();
+    };
+    fill([&](const auto& key, const Value& value) {
+      page.push_back(Entry{Key(key), value, false});
+      if (page.size() == PageEntries) seal();
+    });
+    if (!page.empty()) seal();
     cache_.Reset(pages_.size());
   }
 
@@ -135,6 +152,17 @@ class CompressedBTree {
     return cnt;
   }
 
+  /// Visits every entry in key order, decompressing page by page without
+  /// going through the page cache: fn(const Key&, Value).
+  template <typename Fn>
+  void VisitAll(Fn&& fn) const {
+    for (const Page& page : pages_)
+      for (const Entry& e : DeserializePage(
+               compressed_internal::Inflate(page.blob, page.raw_size),
+               page.count))
+        fn(e.key, e.value);
+  }
+
   /// Streams all entries in order (decompressing page by page).
   std::vector<Entry> DecodeAll() const {
     std::vector<Entry> all;
@@ -189,7 +217,13 @@ class CompressedBTree {
   /// Cache hit statistics (Figure 5.9 ablation).
   size_t cache_hits() const { return cache_.hits; }
   size_t cache_misses() const { return cache_.misses; }
-  void set_cache_pages(size_t n) { cache_.capacity = n; cache_.Reset(pages_.size()); }
+  /// Resizing the cache leaves the contents alone, so it is const like the
+  /// reads that fill the cache.
+  void set_cache_pages(size_t n) const {
+    cache_.capacity = n;
+    cache_.Reset(pages_.size());
+  }
+  size_t cache_pages() const { return cache_.capacity; }
 
  private:
   struct Page {

@@ -128,8 +128,8 @@ inline std::string OpsToString(const std::vector<DiffOp>& ops,
 }
 
 // ---------------------------------------------------------------------------
-// Validate() detection (not every index exposes one; HybridIndex composes
-// stage validators through an adapter in the caller instead)
+// Validate() detection (not every index exposes one; HybridDiffAdapter adds
+// the stage validators to HybridIndex's own)
 // ---------------------------------------------------------------------------
 
 template <typename T, typename = void>
@@ -294,9 +294,11 @@ DiffResult RunDynamicOps(Index& index, const std::vector<std::string>& keys,
 }
 
 /// Gives a HybridIndex instantiation the harness API plus a Validate()
-/// composed of the two stage validators, so every automatic merge is
-/// followed by a structural check of both stages at the next checkpoint.
-/// Uses dependent names only — callers provide the hybrid type and config.
+/// composed of the index's own merge-state validator (check/hybrid_check.h)
+/// and the two stage validators, so every merge is followed by a structural
+/// check at the next checkpoint. A background merge may still be in flight
+/// there: the validators only read. Uses dependent names only — callers
+/// provide the hybrid type and config.
 template <typename Hybrid>
 class HybridDiffAdapter {
  public:
@@ -321,51 +323,14 @@ class HybridDiffAdapter {
   size_t size() const { return index_.size(); }
 
   bool Validate(std::ostream& os) const {
-    bool ok = ValidateIfAvailable(index_.dynamic_stage().tree(), os);
+    bool ok = index_.Validate(os);
+    if (!ValidateIfAvailable(index_.dynamic_stage().tree(), os)) ok = false;
     if (!ValidateIfAvailable(index_.static_stage(), os)) ok = false;
     return ok;
   }
 
  private:
   mutable Hybrid index_;  // stage accessors are non-const
-};
-
-/// Same harness API for a ConcurrentHybridIndex instantiation, driven
-/// single-threaded so results stay deterministic: background merges may run
-/// between ops, but Validate() quiesces them (WaitForMergeIdle) before
-/// running the index's own snapshot/epoch validator plus the static stage's
-/// structural validator. Uses dependent names only, like HybridDiffAdapter.
-template <typename Concurrent>
-class ConcurrentHybridDiffAdapter {
- public:
-  template <typename Config>
-  explicit ConcurrentHybridDiffAdapter(const Config& cfg) : index_(cfg) {}
-
-  bool Insert(const std::string& k, uint64_t v) { return index_.Insert(k, v); }
-  void InsertOrAssign(const std::string& k, uint64_t v) {
-    if (!index_.Insert(k, v)) index_.Update(k, v);
-  }
-  bool Lookup(const std::string& k, uint64_t* v) const {
-    return index_.Lookup(k, v);
-  }
-  bool Update(const std::string& k, uint64_t v) { return index_.Update(k, v); }
-  bool Erase(const std::string& k) { return index_.Erase(k); }
-  size_t Scan(const std::string& k, size_t n,
-              std::vector<uint64_t>* out) const {
-    return index_.Scan(k, n, out);
-  }
-  size_t size() const { return index_.size(); }
-
-  bool Validate(std::ostream& os) const {
-    index_.WaitForMergeIdle();
-    bool ok = index_.Validate(os);
-    auto stat = index_.StaticStageSnapshot();
-    if (stat != nullptr && !ValidateIfAvailable(*stat, os)) ok = false;
-    return ok;
-  }
-
- private:
-  Concurrent index_;
 };
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -102,6 +105,53 @@ struct TestAccess {
   template <typename ZT>
   static void CorruptCompressedDirectory(ZT* t) {
     t->first_keys_[0] += "\x7f";
+  }
+
+  // --- HybridIndex -----------------------------------------------------
+  /// Rebuilds the static stage with its first entry's value replaced by the
+  /// tombstone sentinel (requires a non-empty static stage).
+  template <typename H>
+  static void PlantStaticTombstone(H* h) {
+    auto fresh =
+        std::make_shared<std::remove_cvref_t<decltype(*h->static_)>>();
+    bool first = true;
+    fresh->BuildFrom(h->static_->size(), [&](auto&& emit) {
+      h->static_->VisitAll([&](const auto& k, uint64_t v) {
+        emit(k, first ? H::kTombstone : v);
+        first = false;
+      });
+    });
+    h->static_ = std::move(fresh);
+  }
+
+  /// Runs every later background drain's body through `spawn` instead of a
+  /// new std::thread (the model checker hands it to a virtual thread).
+  template <typename H>
+  static void SetDrainSpawner(H* h,
+                              std::function<void(std::function<void()>)> spawn) {
+    h->spawn_drain_for_test_ = std::move(spawn);
+  }
+
+  /// Forgets a background merge whose drain will never finish (its virtual
+  /// thread was unwound by an aborted model-check run), so the index can be
+  /// destroyed without waiting for it.
+  template <typename H>
+  static void AbandonMerge(H* h) {
+    h->handoff_.reset();
+    h->frozen_.reset();
+  }
+
+  /// A drain body for the merge in flight with a seeded handoff bug: it
+  /// flags the drain done before storing its result, so the owner can adopt
+  /// a missing static stage.
+  template <typename H>
+  static std::function<void()> DrainDoneBeforeResult(H* h) {
+    return [hand = h->handoff_, frozen = h->frozen_, base = h->static_] {
+      auto drained = H::Drain(*frozen, *base, {});
+      hand->done.store(true);
+      hand->Publish(std::move(drained));
+      hand->AwaitAdoption();
+    };
   }
 
   // --- FST -------------------------------------------------------------

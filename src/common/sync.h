@@ -1,8 +1,8 @@
 // met::sync — annotated, model-checkable synchronization primitives.
 //
-// Every lock-protected subsystem (concurrent hybrid index, epoch domains,
-// the obs registry, LSM stats publishing) uses these wrappers instead of the
-// raw std types, for two reasons:
+// Every lock-protected subsystem (the hybrid index's drain handoff, the obs
+// registry, LSM stats publishing, the guard layer, the server) uses these
+// wrappers instead of the raw std types, for two reasons:
 //
 //   1. Static analysis. The wrappers carry clang thread-safety capability
 //      attributes (common/thread_annotations.h), so `GUARDED_BY(mu_)` on a
@@ -18,9 +18,9 @@
 //      becomes a replayable scheduling decision. On production threads the
 //      hook is a thread-local load plus a never-taken branch.
 //
-// The CondVar wrapper degrades to a yield-loop under a scheduler — bounded
-// by the explorer's step budget — and uses the real condition_variable
-// otherwise. sync::Atomic<T> mirrors the std::atomic<T> surface 1:1.
+// The CondVar wrapper degrades to a re-check loop under a scheduler — the
+// waiter is not scheduled again until another thread has acted — and uses
+// the real condition_variable otherwise. sync::Atomic<T> mirrors the std::atomic<T> surface 1:1.
 #ifndef MET_COMMON_SYNC_H_
 #define MET_COMMON_SYNC_H_
 
@@ -28,7 +28,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.h"
 #include "race/hook.h"
@@ -44,12 +43,12 @@ class MET_CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void lock() MET_ACQUIRE() {
-    if (race::ModelAcquire(this, /*shared=*/false, "mutex.lock")) return;
+    if (race::ModelAcquire(this, "mutex.lock")) return;
     m_.lock();
   }
 
   void unlock() MET_RELEASE() {
-    if (race::ModelRelease(this, /*shared=*/false, "mutex.unlock")) return;
+    if (race::ModelRelease(this, "mutex.unlock")) return;
     m_.unlock();
   }
 
@@ -60,41 +59,6 @@ class MET_CAPABILITY("mutex") Mutex {
 
  private:
   std::mutex m_;
-};
-
-/// Annotated reader/writer mutex. Writers use lock()/unlock() (exclusive),
-/// readers lock_shared()/unlock_shared(); see WriterMutexLock/ReaderMutexLock.
-class MET_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() MET_ACQUIRE() {
-    if (race::ModelAcquire(this, /*shared=*/false, "shared_mutex.lock")) return;
-    m_.lock();
-  }
-
-  void unlock() MET_RELEASE() {
-    if (race::ModelRelease(this, /*shared=*/false, "shared_mutex.unlock"))
-      return;
-    m_.unlock();
-  }
-
-  void lock_shared() MET_ACQUIRE_SHARED() {
-    if (race::ModelAcquire(this, /*shared=*/true, "shared_mutex.lock_shared"))
-      return;
-    m_.lock_shared();
-  }
-
-  void unlock_shared() MET_RELEASE_SHARED() {
-    if (race::ModelRelease(this, /*shared=*/true, "shared_mutex.unlock_shared"))
-      return;
-    m_.unlock_shared();
-  }
-
- private:
-  std::shared_mutex m_;
 };
 
 /// RAII exclusive lock on a Mutex.
@@ -113,41 +77,11 @@ class MET_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-/// RAII exclusive (writer) lock on a SharedMutex.
-class MET_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) MET_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterMutexLock() MET_RELEASE_GENERIC() { mu_.unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared (reader) lock on a SharedMutex.
-class MET_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) MET_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderMutexLock() MET_RELEASE_GENERIC() { mu_.unlock_shared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
 /// Condition variable paired with sync::Mutex. Under a race scheduler the
-/// wait degrades to an unlock/yield/relock loop (each iteration is a
-/// scheduling decision; the explorer's step bound converts a stuck predicate
-/// into a reported livelock). On production threads it is a plain
-/// std::condition_variable wait.
+/// wait degrades to an unlock/wait-point/relock loop: the waiter is parked
+/// until another thread has acted, then re-checks its predicate (a wait no
+/// one can end is reported as a deadlock). On production threads it is a
+/// plain std::condition_variable wait.
 class CondVar {
  public:
   CondVar() = default;
@@ -161,7 +95,7 @@ class CondVar {
     if (race::UnderScheduler()) {
       while (!pred()) {
         mu.unlock();
-        race::YieldPoint("condvar.wait");
+        race::WaitPoint("condvar.wait");
         mu.lock();
       }
       return;
@@ -189,8 +123,8 @@ class CondVar {
 };
 
 /// Drop-in std::atomic<T> with a scheduling decision before every access.
-/// Use for atomics that participate in a cross-thread protocol (snapshot
-/// pointers, epoch counters, in-flight flags); plain metric counters can
+/// Use for atomics that participate in a cross-thread protocol (handoff
+/// flags, shutdown flags); plain metric counters can
 /// stay std::atomic — their interleavings are not protocol-relevant.
 template <typename T>
 class Atomic {

@@ -19,13 +19,13 @@
 //                  guards (see common/sync.h for the annotated primitives).
 //   - Escapes:     MET_NO_THREAD_SAFETY_ANALYSIS only on functions whose
 //                  safety argument is external to the lock discipline
-//                  (quiescent-only validators, epoch-protected readers);
-//                  each use carries a comment saying why.
+//                  (quiescent-only validators); each use carries a comment
+//                  saying why.
 //
-// Epoch-published pointers (hybrid/epoch.h) are NOT mutex-guarded — their
-// protocol (publish-then-retire, pin-before-load) is checked dynamically by
-// the met::race schedule explorer (src/race/) instead, and statically only
-// in shape: published pointees are const (enforced by tools/lint_rules.py).
+// Protocols that hand data between threads through sync::Atomic flags (the
+// hybrid index's drain handoff) are checked dynamically by the met::race
+// schedule explorer (src/race/), and statically only in shape: published
+// pointees are const (enforced by tools/lint_rules.py).
 #ifndef MET_COMMON_THREAD_ANNOTATIONS_H_
 #define MET_COMMON_THREAD_ANNOTATIONS_H_
 

@@ -15,7 +15,6 @@ const GuardObsMetrics& GuardObsMetrics::Get() {
     x.queue_delay_us = reg.GetHistogram("met.guard.queue_delay_us");
     x.overload_level = reg.GetGauge("met.guard.overload_level");
     x.queued_cost = reg.GetGauge("met.guard.queued_cost");
-    x.epoch_stall_ms = reg.GetGauge("met.guard.epoch_stall_ms");
     return x;
   }();
   return m;

@@ -1,7 +1,7 @@
 // met::guard observability — the `met.guard.*` metric family shared by the
-// admission controller, deadline enforcement, dedup window, net-fault
-// injector, and the EBR stall watchdog. One lazily-initialised struct of
-// stable pointers, same idiom as ServeObsMetrics.
+// admission controller, deadline enforcement, dedup window and net-fault
+// injector. One lazily-initialised struct of stable pointers, same idiom as
+// ServeObsMetrics.
 #ifndef MET_GUARD_METRICS_H_
 #define MET_GUARD_METRICS_H_
 
@@ -19,7 +19,6 @@ struct GuardObsMetrics {
   obs::Histogram* queue_delay_us;  // met.guard.queue_delay_us per dequeue
   obs::Gauge* overload_level;    // met.guard.overload_level (0..3)
   obs::Gauge* queued_cost;       // met.guard.queued_cost (last sampled shard)
-  obs::Gauge* epoch_stall_ms;    // met.guard.epoch_stall_ms (EBR watchdog)
 
   static const GuardObsMetrics& Get();
 };

@@ -2,14 +2,17 @@
 // HybridIndex expects (Section 5.1's Dual-Stage Transformation, step 4).
 //
 // Dynamic stages wrap BTree / SkipList / Art / Masstree.
-// Static stages wrap CompactBTree / CompactSkipList / CompressedBTree
-// (which implement MergeApply natively) and CompactArt / CompactMasstree
-// (merged by streaming the sorted entries and rebuilding, the recursive
-// trie-merge equivalent of Section 5.2.1 — same linear cost).
+// Static stages are CompactBTree / CompactSkipList / CompressedBTree (used
+// directly) and CompactArt / CompactMasstree behind a thin shim. The hybrid
+// drain walks the old stage in key order (VisitAll), merges in the frozen
+// dynamic entries and streams the result into a fresh stage's bulk builder
+// (BuildFrom) — the linear merge of Section 5.2.1.
 #ifndef MET_HYBRID_ADAPTERS_H_
 #define MET_HYBRID_ADAPTERS_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -108,8 +111,8 @@ using DynMasstreeStage = TrieDynStage<Masstree>;
 // ---------------------------------------------------------------------------
 
 /// CompactBTree / CompactSkipList / CompressedBTree already expose the full
-/// static-stage interface (Find / size / MemoryBytes / MergeApply /
-/// ScanPairs), so they are used directly.
+/// static-stage interface (Lookup / size / MemoryBytes / ScanPairs /
+/// VisitAll / BuildFrom), so they are used directly.
 template <typename Key>
 using StatCompactBTreeStage = CompactBTree<Key>;
 
@@ -119,12 +122,11 @@ using StatCompactSkipListStage = CompactSkipList<Key>;
 template <typename Key>
 using StatCompressedBTreeStage = CompressedBTree<Key>;
 
-/// Rebuild-merging shim for the compact trie structures.
+/// Static-stage shim for the compact trie structures.
 template <typename Tree>
 class TrieStatStage {
  public:
   using Value = uint64_t;
-  using Entry = MergeEntry<std::string, Value>;
 
   bool Lookup(const std::string& k, Value* v) const { return tree_.Lookup(k, v); }
   size_t size() const { return tree_.size(); }
@@ -141,41 +143,22 @@ class TrieStatStage {
     return vals.size();
   }
 
-  /// Streams the current sorted entries, merges in the updates (new entries
-  /// shadow, tombstones delete) and rebuilds the trie.
-  void MergeApply(const std::vector<Entry>& updates) {
+  void VisitAll(const std::function<void(std::string_view, Value)>& fn) const {
+    tree_.VisitAll(fn);
+  }
+
+  /// Bulk-builds the trie from a sorted, unique stream (see
+  /// CompactBTree::BuildFrom).
+  template <typename Fill>
+  void BuildFrom(size_t max_entries, Fill&& fill) {
     std::vector<std::string> keys;
     std::vector<Value> values;
-    keys.reserve(tree_.size() + updates.size());
-    values.reserve(tree_.size() + updates.size());
-    size_t j = 0;
-    tree_.VisitAll([&](std::string_view k, Value v) {
-      // Emit pending updates with keys < k.
-      while (j < updates.size() && updates[j].key < k) {
-        if (!updates[j].deleted) {
-          keys.emplace_back(updates[j].key);
-          values.push_back(updates[j].value);
-        }
-        ++j;
-      }
-      if (j < updates.size() && updates[j].key == k) {
-        if (!updates[j].deleted) {  // shadow
-          keys.emplace_back(updates[j].key);
-          values.push_back(updates[j].value);
-        }
-        ++j;
-        return;
-      }
-      keys.emplace_back(k);
-      values.push_back(v);
+    keys.reserve(max_entries);
+    values.reserve(max_entries);
+    fill([&](std::string_view key, Value value) {
+      keys.emplace_back(key);
+      values.push_back(value);
     });
-    while (j < updates.size()) {
-      if (!updates[j].deleted) {
-        keys.emplace_back(updates[j].key);
-        values.push_back(updates[j].value);
-      }
-      ++j;
-    }
     tree_.Build(keys, values);
   }
 

@@ -1,7 +1,6 @@
-// Merge and scan machinery shared by the blocking HybridIndex and the
-// concurrent epoch-swapped variant (concurrent_hybrid.h): key helpers,
-// sorted-entry collection, a k-way merged scan with shadow/tombstone
-// resolution and refetching, and off-critical-path static-stage rebuilds.
+// Merge and scan machinery for HybridIndex: key helpers, sorted-entry
+// collection, a k-way merged scan with shadow/tombstone resolution and
+// refetching, and the drain's one-pass static-stage rebuild.
 #ifndef MET_HYBRID_MERGE_CORE_H_
 #define MET_HYBRID_MERGE_CORE_H_
 
@@ -143,40 +142,47 @@ size_t MergedScan(const Key& key, size_t n, Value tombstone,
   }
 }
 
-/// Builds a brand-new static stage holding `base` overlaid with the sorted
-/// `updates` (new entries shadow, tombstones delete). `base` is read only
-/// through its const ScanPairs interface, so the rebuild can run while
-/// concurrent readers keep using `base` — the heart of the non-blocking
-/// merge. The merged live stream is applied to a default-constructed stage,
-/// for which MergeApply degenerates to a bulk build; this sidesteps any need
-/// for the stage to be copyable (CompactArt / CompactMasstree are not).
-template <typename StaticStage, typename Key, typename Value>
-std::shared_ptr<StaticStage> BuildMergedStatic(
-    const StaticStage& base, const std::vector<MergeEntry<Key, Value>>& updates) {
-  std::vector<std::pair<Key, Value>> base_pairs;
-  base_pairs.reserve(base.size());
-  base.ScanPairs(MinKey<Key>(), base.size(), &base_pairs);
+/// Static stages whose const reads mutate a cache (CompressedBTree's page
+/// cache): a drain thread must not read one while its owner does.
+template <typename Stage>
+concept HasReadCache = requires(const Stage& s) { s.cache_pages(); };
 
-  std::vector<MergeEntry<Key, Value>> merged;
-  merged.reserve(base_pairs.size() + updates.size());
-  size_t j = 0;
-  for (auto& p : base_pairs) {
-    while (j < updates.size() && updates[j].key < p.first) {
-      if (!updates[j].deleted) merged.push_back(updates[j]);
-      ++j;
-    }
-    if (j < updates.size() && updates[j].key == p.first) {
-      if (!updates[j].deleted) merged.push_back(updates[j]);  // shadow
-      ++j;
-      continue;
-    }
-    merged.push_back({std::move(p.first), p.second, false});
+/// A fresh, empty static stage with `like`'s settings.
+template <typename Stage>
+std::shared_ptr<Stage> EmptyStageLike(const Stage& like) {
+  if constexpr (HasReadCache<Stage>) {
+    return std::make_shared<Stage>(like.cache_pages());
+  } else {
+    (void)like;
+    return std::make_shared<Stage>();
   }
-  for (; j < updates.size(); ++j)
-    if (!updates[j].deleted) merged.push_back(updates[j]);
+}
 
-  auto fresh = std::make_shared<StaticStage>();
-  fresh->MergeApply(merged);
+/// The hybrid drain's one pass: walks `base` in key order through its const
+/// VisitAll, overlays the sorted `updates` (new entries shadow, tombstones
+/// delete) and streams the merged entries straight into a fresh static
+/// stage's bulk builder — no intermediate merged run. `base` is only read,
+/// so the owner may keep serving from it.
+template <typename StaticStage, typename Key, typename Value>
+std::shared_ptr<const StaticStage> BuildMergedStage(
+    const StaticStage& base,
+    const std::vector<MergeEntry<Key, Value>>& updates) {
+  std::shared_ptr<StaticStage> fresh = EmptyStageLike(base);
+  fresh->BuildFrom(base.size() + updates.size(), [&](auto&& emit) {
+    size_t j = 0;
+    auto emit_update = [&](const MergeEntry<Key, Value>& e) {
+      if (!e.deleted) emit(e.key, e.value);
+    };
+    base.VisitAll([&](const auto& k, Value v) {
+      while (j < updates.size() && updates[j].key < k) emit_update(updates[j++]);
+      if (j < updates.size() && updates[j].key == k) {
+        emit_update(updates[j++]);  // shadows (or deletes) the static entry
+        return;
+      }
+      emit(k, v);
+    });
+    while (j < updates.size()) emit_update(updates[j++]);
+  });
   return fresh;
 }
 

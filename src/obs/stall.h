@@ -1,7 +1,7 @@
-// Stall attribution for concurrent index serving: one latency histogram per
-// (operation class, merge phase) cell, so benchmarks can report how much a
-// background merge inflates reader/writer tail latency relative to the idle
-// baseline (bench/bench_merge_pause.cc). Thread-safe: Histogram recording is
+// Stall attribution for index serving: one latency histogram per (operation
+// class, merge phase) cell, so benchmarks can report how much a merge
+// inflates read/write tail latency relative to the idle baseline
+// (bench/bench_merge_pause.cc). Thread-safe: Histogram recording is
 // lock-free, and under MET_OBS_DISABLED every cell is the no-op variant.
 #ifndef MET_OBS_STALL_H_
 #define MET_OBS_STALL_H_
@@ -13,7 +13,7 @@
 namespace met::obs {
 
 /// Four-way split of operation latencies: reads vs writes, recorded while a
-/// background merge is in flight vs while the index is idle.
+/// merge is in flight vs while the index is idle.
 class StallSplit {
  public:
   StallSplit() = default;
@@ -22,24 +22,6 @@ class StallSplit {
 
   void Record(bool is_read, bool merge_inflight, uint64_t nanos) {
     Cell(is_read, merge_inflight).RecordNanos(nanos);
-  }
-
-  /// Records one batched execution of `count` operations that together took
-  /// `total_nanos`. Every operation contributes one sample; the integer
-  /// remainder is distributed over the first `total_nanos % count`
-  /// operations (one extra nanosecond each) so the recorded population sums
-  /// to exactly `total_nanos` — a plain truncating `total / count` loses up
-  /// to count-1 ns per batch and stamps every op with a byte-identical
-  /// value, which is how the sharded YCSB driver's batched-read path
-  /// flattened intra-batch tails (pinned by StallSplitTest.BatchRecord*).
-  void RecordBatch(bool is_read, bool merge_inflight, uint64_t total_nanos,
-                   size_t count) {
-    if (count == 0) return;
-    Histogram& h = Cell(is_read, merge_inflight);
-    uint64_t per_op = total_nanos / count;
-    uint64_t extra = total_nanos % count;  // first `extra` ops get +1 ns
-    for (size_t i = 0; i < count; ++i)
-      h.RecordNanos(per_op + (i < extra ? 1 : 0));
   }
 
   const Histogram& Reads(bool merge_inflight) const {

@@ -13,7 +13,7 @@
 // and loom's default): one virtual thread runs at a time, every sync-level
 // action is a yield point, and plain code between yield points executes
 // atomically with respect to the schedule. Weak-memory reorderings are out of
-// scope — TSan and the seq_cst discipline in hybrid/epoch.h cover that axis.
+// scope — TSan covers that axis.
 #ifndef MET_RACE_HOOK_H_
 #define MET_RACE_HOOK_H_
 
@@ -35,35 +35,48 @@ void YieldSlow(VThread* t, const char* what);
 // unlocked — ownership lives in the scheduler's lock table so a descheduled
 // holder cannot wedge the run. Acquire blocks the virtual thread (it becomes
 // unschedulable) until the modeled lock is free.
-void AcquireSlow(VThread* t, const void* addr, bool shared, const char* what);
-void ReleaseSlow(VThread* t, const void* addr, bool shared, const char* what);
+void AcquireSlow(VThread* t, const void* addr, const char* what);
+void ReleaseSlow(VThread* t, const void* addr, const char* what);
+
+// Pause as a condition-variable waiter: the thread stays unschedulable until
+// another virtual thread has acted (any action may change its predicate).
+void WaitSlow(VThread* t, const char* what);
 
 }  // namespace internal
 
 /// True when the calling thread is controlled by a race::Scheduler.
 inline bool UnderScheduler() { return internal::tls_vthread != nullptr; }
 
-/// Scheduling decision before one atomic action (atomic load/store/rmw,
-/// epoch pin/unpin). No-op on production threads.
+/// Scheduling decision before one atomic action (atomic load/store/rmw).
+/// No-op on production threads.
 inline void YieldPoint(const char* what) {
   if (internal::VThread* t = internal::tls_vthread) {
     internal::YieldSlow(t, what);
   }
 }
 
-/// Modeled acquire/release for sync::Mutex / sync::SharedMutex. Returns
-/// false on production threads (caller must then use the real primitive).
-inline bool ModelAcquire(const void* addr, bool shared, const char* what) {
+/// Scheduling decision for a condition-variable waiter whose predicate is
+/// false: it is not scheduled again until some other thread has acted, so a
+/// waiter cannot spin the schedule. No-op on production threads.
+inline void WaitPoint(const char* what) {
   if (internal::VThread* t = internal::tls_vthread) {
-    internal::AcquireSlow(t, addr, shared, what);
+    internal::WaitSlow(t, what);
+  }
+}
+
+/// Modeled acquire/release for sync::Mutex. Returns false on production
+/// threads (caller must then use the real primitive).
+inline bool ModelAcquire(const void* addr, const char* what) {
+  if (internal::VThread* t = internal::tls_vthread) {
+    internal::AcquireSlow(t, addr, what);
     return true;
   }
   return false;
 }
 
-inline bool ModelRelease(const void* addr, bool shared, const char* what) {
+inline bool ModelRelease(const void* addr, const char* what) {
   if (internal::VThread* t = internal::tls_vthread) {
-    internal::ReleaseSlow(t, addr, shared, what);
+    internal::ReleaseSlow(t, addr, what);
     return true;
   }
   return false;

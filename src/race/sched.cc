@@ -41,7 +41,8 @@ struct VThread {
   // modeled lock at `blocked_on`; the scheduler treats the thread as
   // disabled while that lock is unavailable.
   const void* blocked_on = nullptr;
-  bool blocked_shared = false;
+  // Condition-variable waiter: disabled until another thread acts.
+  bool waiting = false;
 
   const char* last_point = "start";
 };
@@ -53,16 +54,10 @@ using internal::VThread;
 
 namespace {
 
-/// Modeled reader/writer lock state (sync primitives under a scheduler
-/// never lock their real mutex; ownership lives here).
+/// Modeled lock state (sync primitives under a scheduler never lock their
+/// real mutex; ownership lives here).
 struct LockState {
-  int writer = -1;  // vthread index, -1 = none
-  int readers = 0;
-
-  bool AvailableFor(bool shared) const {
-    if (shared) return writer == -1;
-    return writer == -1 && readers == 0;
-  }
+  int owner = -1;  // vthread index, -1 = none
 };
 
 uint64_t SplitMix64(uint64_t* state) {
@@ -131,35 +126,30 @@ struct SchedulerImpl {
     if (aborting && std::uncaught_exceptions() == 0) throw AbortRun{};
   }
 
-  void Acquire(VThread* t, const void* addr, bool shared, const char* what) {
+  void Acquire(VThread* t, const void* addr, const char* what) {
     if (aborting) {
       if (std::uncaught_exceptions() == 0) throw AbortRun{};
       return;
     }
     t->blocked_on = addr;
-    t->blocked_shared = shared;
     Yield(t, what);  // granted only once the lock is available
     LockState& ls = locks[addr];
-    MET_ASSERT(ls.AvailableFor(shared),
-               "race::Scheduler granted an unavailable lock");
-    if (shared)
-      ++ls.readers;
-    else
-      ls.writer = t->index;
+    MET_ASSERT(ls.owner == -1, "race::Scheduler granted an unavailable lock");
+    ls.owner = t->index;
     t->blocked_on = nullptr;
   }
 
-  void Release(VThread* t, const void* addr, bool shared, const char* what) {
+  void Release(VThread* t, const void* addr, const char* what) {
     if (aborting) return;  // lock table is discarded with the run
     Yield(t, what);
     LockState& ls = locks[addr];
-    if (shared) {
-      MET_ASSERT(ls.readers > 0, "modeled unlock_shared with no readers");
-      --ls.readers;
-    } else {
-      MET_ASSERT(ls.writer == t->index, "modeled unlock by non-owner");
-      ls.writer = -1;
-    }
+    MET_ASSERT(ls.owner == t->index, "modeled unlock by non-owner");
+    ls.owner = -1;
+  }
+
+  void Wait(VThread* t, const char* what) {
+    t->waiting = true;
+    Yield(t, what);  // granted only after another thread has acted
   }
 
   void ReportFailure(std::string msg) {
@@ -172,12 +162,10 @@ struct SchedulerImpl {
   // ---- scheduling ----
 
   bool Enabled(const VThread& t) {
-    if (t.finished) return false;
+    if (t.finished || t.waiting) return false;
     if (t.blocked_on != nullptr) {
       auto it = locks.find(t.blocked_on);
-      if (it != locks.end() &&
-          !it->second.AvailableFor(t.blocked_shared))
-        return false;
+      if (it != locks.end() && it->second.owner != -1) return false;
     }
     return true;
   }
@@ -215,13 +203,15 @@ struct SchedulerImpl {
 
 void YieldSlow(VThread* t, const char* what) { t->sched->Yield(t, what); }
 
-void AcquireSlow(VThread* t, const void* addr, bool shared, const char* what) {
-  t->sched->Acquire(t, addr, shared, what);
+void AcquireSlow(VThread* t, const void* addr, const char* what) {
+  t->sched->Acquire(t, addr, what);
 }
 
-void ReleaseSlow(VThread* t, const void* addr, bool shared, const char* what) {
-  t->sched->Release(t, addr, shared, what);
+void ReleaseSlow(VThread* t, const void* addr, const char* what) {
+  t->sched->Release(t, addr, what);
 }
+
+void WaitSlow(VThread* t, const char* what) { t->sched->Wait(t, what); }
 
 }  // namespace internal
 
@@ -329,6 +319,10 @@ RunResult Scheduler::Run(std::vector<ThreadFn> threads,
 
     s.Grant(s.vthreads[choice].get());
     running = choice;
+    // Whatever `choice` just did may have changed another waiter's
+    // predicate: every other waiter gets to re-check it.
+    for (auto& t : s.vthreads)
+      if (t->index != choice) t->waiting = false;
 
     if (!s.failed && step_check) {
       try {

@@ -4,7 +4,7 @@
 // A Scheduler runs N *virtual threads* (real OS threads, but cooperatively
 // scheduled: exactly one runs at a time). Every operation on the annotated
 // sync primitives (common/sync.h: mutex acquire/release, atomic load/store,
-// epoch pin/unpin via sync::Atomic) is a *yield point*: the paused thread
+// condition-variable waits) is a *yield point*: the paused thread
 // hands control back and the scheduler decides who performs the next atomic
 // action. A whole execution is therefore determined by its choice sequence
 // (the Trace), which makes every failure replayable bit-for-bit.
@@ -27,8 +27,9 @@
 // Model limits: interleavings are explored at sequential consistency; weak
 // memory effects are TSan's and the seq_cst discipline's problem, not ours.
 // Real std::thread spawns inside explored code are not scheduled — explored
-// workloads must run background work synchronously (e.g.
-// ConcurrentHybridConfig::background_merge = false).
+// workloads must run background work on a virtual thread of their own (the
+// hybrid workload routes HybridIndex's drain there through a check::TestAccess
+// hook) or synchronously.
 #ifndef MET_RACE_SCHED_H_
 #define MET_RACE_SCHED_H_
 
@@ -53,8 +54,7 @@ struct FailureError {
 };
 
 struct SchedulerOptions {
-  /// Per-execution decision budget; exceeding it reports a livelock (e.g. a
-  /// CondVar predicate that never turns true under this schedule).
+  /// Per-execution decision budget; exceeding it reports a livelock.
   int max_steps = 20000;
   /// Maximum preemptions for exhaustive exploration (<0 = unbounded). A
   /// preemption is a switch away from a thread that could have continued.

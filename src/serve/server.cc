@@ -19,7 +19,7 @@
 #include "guard/clock.h"
 #include "guard/dedup.h"
 #include "guard/metrics.h"
-#include "hybrid/concurrent_hybrid.h"
+#include "hybrid/hybrid.h"
 #include "lsm/lsm.h"
 #include "serve/net.h"
 #include "serve/protocol.h"
@@ -47,10 +47,10 @@ const ServeObsMetrics& ServeObsMetrics::Get() {
 
 namespace {
 
-/// The in-memory engine: the locked hybrid B+tree in non-unique mode, so
-/// Insert is insert-or-assign — exactly PUT's upsert. The shard thread is
-/// the only writer; the background merge is the only other party that
-/// takes the writer lock, and only for its O(1) freeze and publish.
+/// The in-memory engine: the hybrid B+tree in non-unique mode, so Insert is
+/// insert-or-assign — exactly PUT's upsert. The shard thread owns it and
+/// makes every call; merges drain on a background thread and are adopted
+/// at the top of the shard thread's next call.
 class MemoryEngine final : public ShardEngine {
  public:
   MemoryEngine() : index_(Config()) {}
@@ -72,13 +72,14 @@ class MemoryEngine final : public ShardEngine {
   }
 
  private:
-  static ConcurrentHybridConfig Config() {
-    ConcurrentHybridConfig c;
+  static HybridConfig Config() {
+    HybridConfig c;
     c.unique = false;
+    c.background_merge = true;
     return c;
   }
 
-  ConcurrentHybridBTree<uint64_t> index_;
+  HybridBTree<uint64_t> index_;
 };
 
 /// 8-byte big-endian key so LSM lexicographic order == numeric order.

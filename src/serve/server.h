@@ -101,12 +101,11 @@ class ShardEngine {
   virtual bool SyncWrites() { return true; }
 };
 
-/// In-memory engine: ConcurrentHybridBTree<uint64_t> in non-unique
-/// (upsert) mode with background merges. PUT and DELETE take the index's
-/// writer lock, which no other writer contends for: a shard has one writer
-/// (its own thread), and the background merge holds the lock only for its
-/// O(1) freeze and publish. Reads and the merge's drain never take it
-/// exclusively.
+/// In-memory engine: HybridBTree<uint64_t> in non-unique (upsert) mode
+/// with background merges. Only its shard thread calls it, and no call
+/// takes a lock: a merge freezes the dynamic stage in O(1), drains on a
+/// background thread that reads only immutable stages, and is adopted in
+/// O(1) at the top of the shard thread's next call.
 std::unique_ptr<ShardEngine> NewMemoryEngine();
 
 /// Durable engine: LsmTree::Open on `dir` (WAL + MANIFEST, group-fsync via

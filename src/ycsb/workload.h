@@ -20,8 +20,8 @@ struct YcsbRequest {
   YcsbOp op;
   // 64-bit: a 32-bit index silently wrapped once num_keys + #inserts crossed
   // 4 billion (long insert-heavy runs, or large preloaded datasets), after
-  // which the driver's thread-disjoint insert remap collided thread
-  // keyspaces. Pinned by YcsbWorkloadTest.InsertIndicesSurviveFourBillion.
+  // which a multi-threaded driver's thread-disjoint insert remap collided
+  // thread keyspaces. Pinned by YcsbWorkloadTest.InsertIndicesSurviveFourBillion.
   uint64_t key_index;  // index into the dataset's key array
   uint16_t scan_length;
 };

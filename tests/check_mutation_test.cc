@@ -18,9 +18,11 @@
 #include "check/btree_check.h"
 #include "check/compact_btree_check.h"
 #include "check/compressed_btree_check.h"
+#include "check/hybrid_check.h"
 #include "check/skiplist_check.h"
 #include "check/test_access.h"
 #include "fst/fst.h"
+#include "hybrid/hybrid.h"
 #include "lsm/lsm.h"
 #include "masstree/masstree.h"
 #include "skiplist/skiplist.h"
@@ -138,6 +140,24 @@ TEST(CheckMutation, MasstreeSizeCounter) {
   Masstree t;
   FillMasstree(&t);
   ExpectDetected(&t, [](auto* p) { TestAccess::BumpSize(p); },
+                 "size() off by one");
+}
+
+// --- Hybrid index --------------------------------------------------------
+
+TEST(CheckMutation, HybridStaticTombstone) {
+  HybridBTree<std::string> h;
+  for (const std::string& k : Keys(300)) h.Insert(k, 1);
+  h.Merge();
+  ExpectDetected(&h, [](auto* p) { TestAccess::PlantStaticTombstone(p); },
+                 "tombstone planted in the static stage");
+}
+
+TEST(CheckMutation, HybridSizeCounter) {
+  HybridBTree<std::string> h;
+  for (const std::string& k : Keys(300)) h.Insert(k, 1);
+  h.Merge();
+  ExpectDetected(&h, [](auto* p) { TestAccess::BumpSize(p); },
                  "size() off by one");
 }
 

@@ -16,7 +16,6 @@
 #include "fst/fst.h"
 #include "hot/hot.h"
 #include "common/random.h"
-#include "hybrid/concurrent_hybrid.h"
 #include "hybrid/hybrid.h"
 #include "keys/keygen.h"
 #include "masstree/compact_masstree.h"
@@ -191,9 +190,9 @@ TYPED_TEST(StringIndexConformanceTest, EmailWorkloadMatchesStdMap) {
 // ---------- outcome mutation API (common/index_api.h) ----------
 //
 // The IndexInsert/IndexUpdate/IndexRemove dispatchers must report identical
-// outcomes over every backend (the plain B+tree, the blocking hybrid and the
-// concurrent hybrid the memory shard engine serves), so generic write paths
-// (ycsb, minidb) behave the same whichever one they are given.
+// outcomes over every backend (the plain B+tree and the hybrid the memory
+// shard engine serves), so generic write paths (ycsb, minidb) behave the
+// same whichever one they are given.
 
 template <typename Index>
 class OutcomeApiConformanceTest : public ::testing::Test {
@@ -202,8 +201,7 @@ class OutcomeApiConformanceTest : public ::testing::Test {
 };
 
 using OutcomeApiTypes =
-    ::testing::Types<BTree<uint64_t>, HybridBTree<uint64_t>,
-                     ConcurrentHybridBTree<uint64_t>>;
+    ::testing::Types<BTree<uint64_t>, HybridBTree<uint64_t>>;
 TYPED_TEST_SUITE(OutcomeApiConformanceTest, OutcomeApiTypes);
 
 TYPED_TEST(OutcomeApiConformanceTest, DispatchersAgreeOnOutcomes) {
@@ -246,13 +244,12 @@ static_assert(RangeIndex<Art, std::string_view>);
 static_assert(RangeIndex<Art, std::string>);
 static_assert(RangeIndex<Masstree, std::string_view>);
 
-// Hybrid indexes (blocking and concurrent) are drop-in RangeIndexes.
+// Hybrid indexes are drop-in RangeIndexes.
 static_assert(RangeIndex<HybridBTree<uint64_t>, uint64_t>);
 static_assert(RangeIndex<HybridSkipList<uint64_t>, uint64_t>);
 static_assert(RangeIndex<HybridCompressedBTree<uint64_t>, uint64_t>);
 static_assert(RangeIndex<HybridArt, std::string>);
 static_assert(RangeIndex<HybridMasstree, std::string>);
-static_assert(RangeIndex<ConcurrentHybridBTree<uint64_t>, uint64_t>);
 
 // Static/compact structures expose the read-only point-lookup tier.
 static_assert(ReadOnlyPointIndex<Fst, std::string_view>);
@@ -274,8 +271,7 @@ static_assert(Filter<BloomFilter>);
 static_assert(Filter<BloomFilter, uint64_t>);
 
 // Every structure with an Update serves the unified outcome surface through
-// the dispatchers, the served concurrent hybrid included.
-static_assert(MutablePointIndex<ConcurrentHybridBTree<uint64_t>, uint64_t>);
+// the dispatchers, the served hybrid included.
 static_assert(MutablePointIndex<BTree<uint64_t>, uint64_t>);
 static_assert(MutablePointIndex<HybridBTree<uint64_t>, uint64_t>);
 

@@ -8,7 +8,6 @@
 #include "guard/dedup.h"
 #include "guard/metrics.h"
 #include "guard/net_fault.h"
-#include "hybrid/epoch.h"
 #include "gtest/gtest.h"
 
 namespace met {
@@ -224,52 +223,6 @@ TEST(DedupWindowTest, TokenZeroAndZeroCapacityAreInert) {
   DedupWindow off(0);
   off.Insert(7, true);
   EXPECT_EQ(nullptr, off.Find(7));
-}
-
-// ---- EBR stall watchdog -------------------------------------------------
-
-TEST(EpochStallTest, GaugeTracksBlockedReclamationAndResets) {
-  obs::Gauge* stall = guard::GuardObsMetrics::Get().epoch_stall_ms;
-  hybrid::EpochDomain domain;
-  bool freed = false;
-
-  size_t slot = domain.Pin();  // blocks reclamation of anything retired now
-  domain.Retire([&freed] { freed = true; });
-
-  const uint64_t t0 = 1'000'000'000ull;
-  EXPECT_EQ(0u, domain.TryReclaim(t0));  // anchors the stalled tag
-  EXPECT_EQ(0, stall->Value());
-  EXPECT_EQ(0u, domain.TryReclaim(t0 + 2'500'000'000ull));
-  EXPECT_EQ(2500, stall->Value()) << "2.5s blocked must show on the gauge";
-  EXPECT_FALSE(freed);
-
-  domain.Unpin(slot);
-  EXPECT_EQ(1u, domain.TryReclaim(t0 + 3'000'000'000ull));
-  EXPECT_TRUE(freed);
-  EXPECT_EQ(0, stall->Value()) << "gauge must reset once the queue drains";
-}
-
-TEST(EpochStallTest, ProgressRearmsTheAnchor) {
-  obs::Gauge* stall = guard::GuardObsMetrics::Get().epoch_stall_ms;
-  hybrid::EpochDomain domain;
-
-  size_t pin1 = domain.Pin();
-  domain.Retire([] {});
-  const uint64_t t0 = 1'000'000'000ull;
-  EXPECT_EQ(0u, domain.TryReclaim(t0));
-  EXPECT_EQ(0u, domain.TryReclaim(t0 + 2'000'000'000ull));
-  EXPECT_EQ(2000, stall->Value());
-
-  // The first retirement reclaims, but a second (younger) one is now
-  // blocked by a fresh pin: the anchor must re-arm, not inherit 2s.
-  domain.Unpin(pin1);
-  size_t pin2 = domain.Pin();
-  domain.Retire([] {});
-  EXPECT_EQ(1u, domain.TryReclaim(t0 + 2'100'000'000ull));
-  EXPECT_EQ(0, stall->Value()) << "new oldest tag must restart the clock";
-  domain.Unpin(pin2);
-  EXPECT_EQ(1u, domain.TryReclaim(t0 + 2'200'000'000ull));
-  EXPECT_EQ(0, stall->Value());
 }
 
 }  // namespace

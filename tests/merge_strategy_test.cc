@@ -83,5 +83,43 @@ TEST(MergeColdTest, MergesDoNotThrash) {
   EXPECT_LT(index.merge_stats().merge_count, keys.size() / 512);
 }
 
+// Updates and deletes add dynamic-stage entries too, so under kMergeCold an
+// update-only or delete-only stream must still trigger merges and keep the
+// dynamic stage near the ratio trigger (100k static / ratio 10 = 10k).
+HybridConfig ColdRatioConfig() {
+  HybridConfig cfg;
+  cfg.strategy = HybridConfig::MergeStrategy::kMergeCold;
+  cfg.min_merge_entries = 1024;
+  cfg.merge_ratio = 10;
+  return cfg;
+}
+
+TEST(MergeColdTest, UpdateOnlyStreamMerges) {
+  HybridBTree<uint64_t> index(ColdRatioConfig());
+  constexpr uint64_t kKeys = 100000;
+  for (uint64_t k = 0; k < kKeys; ++k) index.Insert(k, k);
+  index.Merge();
+  const size_t merges_before = index.merge_stats().merge_count;
+  Random rng(17);
+  for (int i = 0; i < 200000; ++i)
+    ASSERT_TRUE(index.Update(rng.Uniform(kKeys), i));
+  EXPECT_GT(index.merge_stats().merge_count, merges_before);
+  EXPECT_LT(index.DynamicEntries(), 2 * kKeys / 10);
+  EXPECT_EQ(index.size(), kKeys);
+}
+
+TEST(MergeColdTest, DeleteOnlyStreamMerges) {
+  HybridBTree<uint64_t> index(ColdRatioConfig());
+  constexpr uint64_t kKeys = 100000;
+  for (uint64_t k = 0; k < kKeys; ++k) index.Insert(k, k);
+  index.Merge();
+  const size_t merges_before = index.merge_stats().merge_count;
+  for (uint64_t k = 0; k < kKeys; k += 2) ASSERT_TRUE(index.Erase(k));
+  EXPECT_GT(index.merge_stats().merge_count, merges_before);
+  EXPECT_LT(index.DynamicEntries(), 2 * kKeys / 10);
+  EXPECT_EQ(index.size(), kKeys / 2);
+  for (uint64_t k = 0; k < 100; ++k) EXPECT_EQ(index.Lookup(k), k % 2 == 1);
+}
+
 }  // namespace
 }  // namespace met

@@ -31,8 +31,8 @@
 #include "common/index_api.h"
 #include "check/compact_btree_check.h"
 #include "check/compressed_btree_check.h"
-#include "check/concurrent_hybrid_check.h"
 #include "check/differential.h"
+#include "check/hybrid_check.h"
 #include "check/skiplist_check.h"
 #include "common/random.h"
 #include "fst/fst.h"
@@ -109,8 +109,9 @@ TEST(PropertyMasstree, Differential) {
 
 // ---------------------------------------------------------------------------
 // Hybrid indexes: check::HybridDiffAdapter composes a Validate() out of the
-// two stage validators, so every automatic merge is followed by a full
-// structural check of both stages at the next checkpoint.
+// index's merge-state validator and the two stage validators, so every
+// automatic merge is followed by a full structural check at the next
+// checkpoint.
 // ---------------------------------------------------------------------------
 
 HybridConfig HybridFuzzConfig() {
@@ -160,40 +161,26 @@ TEST(PropertyHybridArtCold, Differential) {
   });
 }
 
-// ---------------------------------------------------------------------------
-// Concurrent hybrid index, driven single-threaded through the same harness:
-// checkpoints quiesce background merges, then run the snapshot/epoch state
-// machine validator (check/concurrent_hybrid_check.h) plus the static
-// stage's structural validator. Multi-threaded coverage lives in
-// concurrent_hybrid_test.cc; this checks op-level semantics and the merge
-// protocol against the oracle.
-// ---------------------------------------------------------------------------
-
-ConcurrentHybridConfig ConcurrentFuzzConfig(bool background) {
-  ConcurrentHybridConfig cfg;
-  cfg.min_merge_entries = 512;
-  cfg.background_merge = background;
+// Background merges: the drain runs on its own thread and is adopted at the
+// top of a later call, so checkpoints may land with a merge in flight (the
+// validator then checks the frozen stage too). PropertyHybridBTree above is
+// the same index with the drain inline.
+HybridConfig HybridBackgroundFuzzConfig() {
+  HybridConfig cfg = HybridFuzzConfig();
+  cfg.background_merge = true;
   return cfg;
 }
 
-TEST(PropertyConcurrentHybridBTree, Differential) {
+TEST(PropertyHybridBTreeBackground, Differential) {
   DynamicDifferential([] {
-    return check::ConcurrentHybridDiffAdapter<ConcurrentHybridBTree<std::string>>(
-        ConcurrentFuzzConfig(true));
+    return check::HybridDiffAdapter<HybridBTree<std::string>>(
+        HybridBackgroundFuzzConfig());
   });
 }
 
-TEST(PropertyConcurrentHybridBTreeSyncMerge, Differential) {
+TEST(PropertyHybridArtBackground, Differential) {
   DynamicDifferential([] {
-    return check::ConcurrentHybridDiffAdapter<ConcurrentHybridBTree<std::string>>(
-        ConcurrentFuzzConfig(false));
-  });
-}
-
-TEST(PropertyConcurrentHybridArt, Differential) {
-  DynamicDifferential([] {
-    return check::ConcurrentHybridDiffAdapter<ConcurrentHybridArt>(
-        ConcurrentFuzzConfig(true));
+    return check::HybridDiffAdapter<HybridArt>(HybridBackgroundFuzzConfig());
   });
 }
 

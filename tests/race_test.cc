@@ -12,10 +12,8 @@
 #include <thread>
 #include <vector>
 
-#include "check/concurrent_hybrid_check.h"
+#include "check/hybrid_handoff_model.h"
 #include "common/sync.h"
-#include "hybrid/concurrent_hybrid.h"
-#include "hybrid/epoch.h"
 #include "lsm/lsm.h"
 #include "obs/obs.h"
 #include "race/sched.h"
@@ -113,126 +111,80 @@ TEST(RaceSched, LostUpdateFoundAndReplays) {
 // The serving path under the scheduler
 // ---------------------------------------------------------------------------
 
-met::ConcurrentHybridConfig SmallMergeConfig() {
-  met::ConcurrentHybridConfig cfg;
-  cfg.background_merge = false;  // synchronous drain => deterministic
-  cfg.constant_trigger = true;
-  cfg.constant_threshold = 2;
-  cfg.min_merge_entries = 1;
-  cfg.use_bloom = true;
-  return cfg;
-}
-
-// Bounded-exhaustive 2-thread freeze/drain/publish on the real concurrent
-// index: a key committed before the merge stays visible at every
-// interleaving, and the full PR-3 validator holds at quiescence.
-TEST(RaceSched, FreezePublishExhaustive) {
+// A condition-variable wait that needs the other thread is explored, not
+// spun: the waiter is parked until the other thread acts, so the
+// non-preemptive default schedule still completes.
+TEST(RaceSched, CondVarWaitParksUntilOtherThreadActs) {
   met::obs::WarmUp();
-  (void)met::ConcurrentHybridObsMetrics::Get();
-
   SchedulerOptions opts;
   opts.preemption_bound = 2;
 
-  auto index = std::make_shared<std::unique_ptr<
-      met::ConcurrentHybridBTree<uint64_t>>>();
-  auto make = [index] {
-    *index = std::make_unique<met::ConcurrentHybridBTree<uint64_t>>(
-        SmallMergeConfig());
-    (*index)->Insert(7, 70);  // committed pre-merge state
-    (*index)->Merge();
-    auto* idx = index->get();
+  struct State {
+    met::sync::Mutex mu;
+    met::sync::CondVar cv;
+    met::sync::Atomic<bool> ready{false};
+  };
+  auto st = std::make_shared<std::unique_ptr<State>>();
+  auto make = [st] {
+    *st = std::make_unique<State>();
+    State* s = st->get();
     return std::vector<Scheduler::ThreadFn>{
-        [idx] {
-          idx->Insert(1, 10);
-          idx->Insert(2, 20);  // crosses threshold: freeze+drain+publish
+        [s] {
+          met::sync::MutexLock l(s->mu);
+          s->cv.Wait(s->mu, [s] { return s->ready.load(); });
         },
-        [idx] {
-          uint64_t v = 0;
-          if (!idx->Lookup(7, &v) || v != 70)
-            met::race::Fail("key 7 lost during merge");
+        [s] {
+          {
+            met::sync::MutexLock l(s->mu);
+            s->ready.store(true);
+          }
+          s->cv.NotifyAll();
         },
     };
   };
-  auto post = [index] {
-    auto* idx = index->get();
-    idx->WaitForMergeIdle();
-    std::ostringstream os;
-    if (!idx->Validate(os))
-      throw FailureError{"ValidateImpl failed at quiescence: " + os.str()};
-    uint64_t v = 0;
-    for (uint64_t k : {uint64_t{7}, uint64_t{1}, uint64_t{2}})
-      if (!idx->Lookup(k))
-        throw FailureError{"key " + std::to_string(k) + " lost at quiescence"};
-    (void)v;
-  };
+  ExploreResult res = ExploreExhaustive(make, opts, 200000);
+  EXPECT_TRUE(res.complete);
+  EXPECT_FALSE(res.failed) << res.failure;
+}
 
-  ExploreResult res = ExploreExhaustive(make, opts, 200000, nullptr, post);
+// Bounded-exhaustive freeze/drain/adopt on the real index, with the
+// background drain on its own virtual thread: committed keys stay visible at
+// every interleaving and the merge-state validator holds after every step.
+TEST(RaceSched, FreezeDrainAdoptExhaustive) {
+  met::obs::WarmUp();
+  (void)met::HybridObsMetrics::Get();
+  SchedulerOptions opts;
+  opts.preemption_bound = 2;
+
+  auto model = std::make_shared<met::check::HybridHandoffModel>(false);
+  ExploreResult res = ExploreExhaustive(
+      [model] { return model->MakeThreads(); }, opts, 200000,
+      [model] { model->StepCheck(); }, [model] { model->FinalCheck(); });
   EXPECT_TRUE(res.complete) << "schedule space not exhausted within budget";
   EXPECT_FALSE(res.failed)
       << res.failure << "\ntrace: " << res.failing_trace.ToString();
   EXPECT_GT(res.executions, 100u);
 }
 
-// Seeded injection: retiring the old epoch-published object BEFORE
-// unpublishing it must be caught, with a trace that replays to the same
-// violation (the model_check CI job depends on this failing loudly).
-TEST(RaceSched, EpochRetireBeforeUnpublishCaught) {
+// Seeded injection: a drain that flags itself done before storing its result
+// must be caught, with a trace that replays to the same violation (the
+// model_check CI job depends on this failing loudly).
+TEST(RaceSched, DrainDoneBeforeResultCaught) {
   met::obs::WarmUp();
+  (void)met::HybridObsMetrics::Get();
   SchedulerOptions opts;
   opts.preemption_bound = 2;
 
-  struct Obj {
-    bool freed = false;
-  };
-  struct State {
-    met::hybrid::EpochDomain domain;
-    Obj objs[2];
-    met::sync::Atomic<const Obj*> published{nullptr};
-  };
-  auto st = std::make_shared<std::unique_ptr<State>>();
+  auto model = std::make_shared<met::check::HybridHandoffModel>(true);
+  auto make = [model] { return model->MakeThreads(); };
+  auto step = [model] { model->StepCheck(); };
+  ExploreResult broken = ExploreExhaustive(make, opts, 200000, step);
+  ASSERT_TRUE(broken.failed) << "done-before-result escaped exploration";
+  EXPECT_NE(broken.failure.find("before storing its result"),
+            std::string::npos)
+      << broken.failure;
 
-  auto make_with = [st](bool broken) {
-    return [st, broken] {
-      *st = std::make_unique<State>();
-      State* s = st->get();
-      s->published.store(&s->objs[0]);
-      return std::vector<Scheduler::ThreadFn>{
-          [s, broken] {
-            const Obj* old = s->published.load();
-            if (broken) {
-              s->domain.Retire(
-                  [old] { const_cast<Obj*>(old)->freed = true; });
-              s->domain.TryReclaim();
-              s->published.store(&s->objs[1]);
-            } else {
-              s->published.store(&s->objs[1]);
-              s->domain.Retire(
-                  [old] { const_cast<Obj*>(old)->freed = true; });
-              s->domain.TryReclaim();
-            }
-          },
-          [s] {
-            met::hybrid::EpochGuard g(s->domain);
-            const Obj* o = s->published.load();
-            met::race::YieldPoint("epoch.use");
-            if (o->freed) met::race::Fail("dereferenced reclaimed object");
-          },
-      };
-    };
-  };
-
-  ExploreResult clean =
-      ExploreExhaustive(make_with(false), opts, 200000);
-  EXPECT_TRUE(clean.complete);
-  EXPECT_FALSE(clean.failed) << clean.failure;
-
-  ExploreResult broken =
-      ExploreExhaustive(make_with(true), opts, 200000);
-  ASSERT_TRUE(broken.failed)
-      << "retire-before-unpublish escaped bounded exploration";
-  EXPECT_NE(broken.failure.find("reclaimed"), std::string::npos);
-
-  RunResult replay = Replay(make_with(true), broken.failing_trace, opts);
+  RunResult replay = Replay(make, broken.failing_trace, opts, step);
   ASSERT_TRUE(replay.failed);
   EXPECT_EQ(replay.failure, broken.failure);
 }

@@ -772,7 +772,7 @@ TEST(ServeDurableTest, SigkillLosesNoAckedPut) {
 // keys at the time.
 TEST(ServeMemoryTest, EngineMatchesMapAcrossMerges) {
   obs::Counter* merges = obs::MetricsRegistry::Global().GetCounter(
-      "hybrid.concurrent.merge.count");
+      "hybrid.merge.count");
   const uint64_t merges_before = merges->Value();
   auto engine = serve::NewMemoryEngine();
   std::map<uint64_t, uint64_t> oracle;

@@ -1,15 +1,9 @@
-// Regression tests for the YCSB workload generator, the stall-split
-// batch recorder, and the sharded driver's batched-read path — each pins a
-// latency-attribution bug fixed in the serving PR:
-//   - 32-bit key_index wrapped past 4 billion inserts (workload.h)
-//   - RecordBatch truncation stamped byte-identical per-op means (stall.h)
-//   - flush_reads sampled the merge flag only before the batch (driver.h)
-#include <atomic>
+// Tests for the YCSB workload generator (a regression test for the 32-bit
+// key_index that wrapped past 4 billion inserts) and the stall-split
+// recorder the merge-pause bench reports through.
 #include <cstdint>
-#include <vector>
 
 #include "obs/stall.h"
-#include "ycsb/driver.h"
 #include "ycsb/workload.h"
 #include "gtest/gtest.h"
 
@@ -36,84 +30,19 @@ TEST(YcsbWorkloadTest, InsertIndicesSurviveFourBillion) {
   EXPECT_EQ(num_keys + 16, stream.next_insert_index());
 }
 
-TEST(StallSplitTest, BatchRecordDistributesRemainder) {
-  // 35 ns over 16 ops: a truncating 35/16 would record sixteen identical
-  // 2 ns samples summing to 32. The remainder distribution must keep the
-  // population sum exact and spread {2,3} across the batch.
+TEST(StallSplitTest, SplitsByPhaseAndOpClass) {
   obs::StallSplit stalls;
-  stalls.RecordBatch(/*is_read=*/true, /*merge_inflight=*/false, 35, 16);
-  const obs::Histogram& h = stalls.Reads(false);
-  EXPECT_EQ(16u, h.Count());
-  EXPECT_EQ(35u, h.Sum());
-  EXPECT_EQ(2u, h.Min());
-  EXPECT_EQ(3u, h.Max());
-}
-
-TEST(StallSplitTest, BatchRecordExactDivisionAndEmpty) {
-  obs::StallSplit stalls;
-  stalls.RecordBatch(/*is_read=*/false, /*merge_inflight=*/true, 64, 16);
-  const obs::Histogram& h = stalls.Writes(true);
-  EXPECT_EQ(16u, h.Count());
-  EXPECT_EQ(64u, h.Sum());
-  EXPECT_EQ(4u, h.Min());
-  EXPECT_EQ(4u, h.Max());
-  stalls.RecordBatch(true, true, 100, 0);  // count 0: no samples, no divide
-  EXPECT_EQ(0u, stalls.Reads(true).Count());
-}
-
-// Minimal unified-index stand-in whose "merge" starts the moment the first
-// lookup executes — i.e. mid-batch, after the driver sampled the flag at
-// batch start. Lookup is const in the index API, so the flag is mutable.
-struct FakeConfig {};
-
-class FakeMergeFlipIndex {
- public:
-  using Value = uint64_t;
-
-  explicit FakeMergeFlipIndex(const FakeConfig&) {}
-
-  bool Lookup(uint64_t key, uint64_t* value = nullptr) const {
-    merging_.store(true, std::memory_order_relaxed);  // merge "starts" now
-    if (value != nullptr) *value = key + 1;
-    return true;
-  }
-  bool Insert(uint64_t, uint64_t) { return true; }
-  bool Update(uint64_t, uint64_t) { return true; }
-  bool Erase(uint64_t) { return true; }
-  size_t Scan(uint64_t, size_t, std::vector<uint64_t>*) const { return 0; }
-
-  bool MergeInFlight() const {
-    return merging_.load(std::memory_order_relaxed);
-  }
-  void WaitForMergeIdle() const {}
-
-  size_t size() const { return 0; }
-  size_t MemoryBytes() const { return 0; }
-
- private:
-  mutable std::atomic<bool> merging_{false};
-};
-
-TEST(YcsbDriverTest, BatchedReadsResampleMergeFlagAtCompletion) {
-  // All 32 reads run in two 16-wide batches. The merge flag is false when
-  // each batch starts and true by the time it completes; the fixed driver
-  // re-samples at record time, so every sample must land in the
-  // merge-in-flight cell. The pre-fix driver sampled once before the batch
-  // and attributed all of them to the idle baseline.
-  ycsb::ShardedIndex<FakeMergeFlipIndex, uint64_t> index(1, FakeConfig{});
-  YcsbSpec spec;
-  spec.read_fraction = 1.0;
-  spec.zipfian = false;
-  obs::StallSplit stalls;
-  ycsb::YcsbRunResult r =
-      ycsb::RunYcsb(&index, spec, /*num_keys=*/64, /*ops_per_thread=*/32,
-                    /*num_threads=*/1, [](uint64_t idx) { return idx; },
-                    &stalls, /*read_batch=*/16);
-  EXPECT_EQ(32u, r.reads);
-  EXPECT_EQ(32u, r.read_hits);
-  EXPECT_EQ(32u, stalls.Reads(true).Count())
-      << "batched reads overlapping a merge were attributed to idle";
-  EXPECT_EQ(0u, stalls.Reads(false).Count());
+  stalls.Record(true, false, 100);
+  stalls.Record(true, false, 200);
+  stalls.Record(true, true, 5000);
+  stalls.Record(false, true, 700);
+  EXPECT_EQ(stalls.Reads(false).Count(), 2u);
+  EXPECT_EQ(stalls.Reads(true).Count(), 1u);
+  EXPECT_EQ(stalls.Writes(true).Count(), 1u);
+  EXPECT_EQ(stalls.Writes(false).Count(), 0u);
+  EXPECT_GE(stalls.Reads(true).Max(), stalls.Reads(false).Max());
+  stalls.Reset();
+  EXPECT_EQ(stalls.Reads(false).Count(), 0u);
 }
 
 }  // namespace

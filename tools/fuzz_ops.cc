@@ -36,8 +36,8 @@
 #include "check/btree_check.h"
 #include "check/compact_btree_check.h"
 #include "check/compressed_btree_check.h"
-#include "check/concurrent_hybrid_check.h"
 #include "check/differential.h"
+#include "check/hybrid_check.h"
 #include "check/skiplist_check.h"
 #include "common/random.h"
 #include "fst/fst.h"
@@ -86,9 +86,9 @@ HybridConfig HybridColdFuzzConfig() {
   return cfg;
 }
 
-ConcurrentHybridConfig ConcurrentHybridFuzzConfig() {
-  ConcurrentHybridConfig cfg;
-  cfg.min_merge_entries = 512;
+HybridConfig HybridBackgroundFuzzConfig() {
+  HybridConfig cfg = HybridFuzzConfig();
+  cfg.background_merge = true;
   return cfg;
 }
 
@@ -694,15 +694,14 @@ std::vector<NamedTarget> BuildTargets(uint64_t seed) {
                            HybridColdFuzzConfig());
                      }),
                      true});
-  targets.push_back({"concurrent_hybrid_btree", DynamicTarget([] {
-                       return check::ConcurrentHybridDiffAdapter<
-                           ConcurrentHybridBTree<std::string>>(
-                           ConcurrentHybridFuzzConfig());
+  targets.push_back({"hybrid_btree_background", DynamicTarget([] {
+                       return check::HybridDiffAdapter<HybridBTree<std::string>>(
+                           HybridBackgroundFuzzConfig());
                      }),
                      true});
-  targets.push_back({"concurrent_hybrid_art", DynamicTarget([] {
-                       return check::ConcurrentHybridDiffAdapter<
-                           ConcurrentHybridArt>(ConcurrentHybridFuzzConfig());
+  targets.push_back({"hybrid_art_background", DynamicTarget([] {
+                       return check::HybridDiffAdapter<HybridArt>(
+                           HybridBackgroundFuzzConfig());
                      }),
                      true});
   targets.push_back(

@@ -16,9 +16,9 @@ Rules (each failure prints `path:line: [rule] message`, exit 1):
   void-status-bare    `(void)foo(...)` on a Status-returning call without an
                       explanatory comment on the same or previous line —
                       intentional drops must say why.
-  published-pointee   sync::Atomic<T*> with a non-const pointee: an
-                      epoch-published object is read concurrently and must be
-                      immutable after publication (sync::Atomic<const T*>).
+  published-pointee   sync::Atomic<T*> with a non-const pointee: a published
+                      object is read concurrently and must be immutable after
+                      publication (sync::Atomic<const T*>).
 
 Run from the repo root:  python3 tools/lint_rules.py [--root DIR]
 """
@@ -143,7 +143,7 @@ def lint_file(root, path, failures):
                 failures.append(
                     f"{rel}:{lineno}: [published-pointee] "
                     f"sync::Atomic<{m.group(1)}*> publishes a mutable "
-                    "pointee; epoch-published objects must be const "
+                    "pointee; published objects must be const "
                     "after publication")
 
         if rel.startswith("src/") and VOID_STATUS_RE.search(code):

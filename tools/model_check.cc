@@ -1,20 +1,16 @@
 // met::race model checker — bounded-exhaustive schedule exploration of the
-// concurrent serving path (see src/race/sched.h and DESIGN.md, "Concurrency
-// correctness").
+// serving path's concurrency (see src/race/sched.h and DESIGN.md,
+// "Concurrency correctness").
 //
 // Workloads:
-//   hybrid  Freeze/drain/publish on a real ConcurrentHybridBTree with a
-//           synchronous merge: one writer whose insert crosses the merge
-//           threshold mid-run, one reader asserting per-key linearizability
-//           (a key inserted before the run must never disappear). The
-//           per-step callback asserts snapshot sanity (non-null, version
-//           monotonic); the run ends with the full PR-3 ValidateImpl.
-//   epoch   The publish-then-retire protocol on an EpochDomain with
-//           freed-bit objects: readers pin, load, deref; the publisher swaps
-//           and retires. With --inject the publisher retires the object
-//           BEFORE unpublishing it (the classic ordering bug); bounded
-//           exploration finds a schedule where a reader dereferences freed
-//           memory and prints the replayable trace.
+//   hybrid  The owner<->drain handoff of a HybridBTree with background
+//           merges (check/hybrid_handoff_model.h): the owner's insert
+//           freezes and hands the drain to a second virtual thread; the
+//           owner keeps reading, each read may adopt, and committed keys
+//           must never vanish. The merge-state validator runs after every
+//           scheduled action. With --inject the drain flags itself done
+//           before storing its result; exploration must catch it and print
+//           the replayable trace.
 //   wal     Two writers appending to one LsmWal under a harness mutex plus
 //           a group-sync thread; afterwards the log is replayed and the
 //           record count checked against what the writers appended.
@@ -23,7 +19,7 @@
 // 1 = usage / setup error.
 //
 // Usage:
-//   model_check --workload=hybrid|epoch|wal [--bound=2] [--max-exec=200000]
+//   model_check --workload=hybrid|wal [--bound=2] [--max-exec=200000]
 //               [--random=N --seed=S] [--replay=0,1,0,...] [--inject]
 
 #include <cinttypes>
@@ -34,12 +30,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "check/hybrid_handoff_model.h"
 #include "common/sync.h"
-#include "check/concurrent_hybrid_check.h"
-#include "hybrid/concurrent_hybrid.h"
-#include "hybrid/epoch.h"
+#include "hybrid/hybrid.h"
 #include "io/io.h"
 #include "lsm/wal.h"
 #include "obs/obs.h"
@@ -93,184 +89,13 @@ bool ParseCli(int argc, char** argv, Cli* cli) {
   }
   if (cli->workload.empty()) {
     std::fprintf(stderr,
-                 "usage: model_check --workload=hybrid|epoch|wal "
+                 "usage: model_check --workload=hybrid|wal "
                  "[--bound=N] [--max-exec=N] [--random=N --seed=S] "
                  "[--replay=trace] [--inject]\n");
     return false;
   }
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// hybrid: freeze/drain/publish on the real index
-// ---------------------------------------------------------------------------
-
-using Index = met::ConcurrentHybridBTree<uint64_t>;
-
-met::ConcurrentHybridConfig HybridConfig() {
-  met::ConcurrentHybridConfig cfg;
-  cfg.background_merge = false;  // drain synchronously => schedulable
-  cfg.constant_trigger = true;
-  cfg.constant_threshold = 2;  // writer's 2nd insert freezes + drains
-  cfg.min_merge_entries = 1;
-  cfg.use_bloom = true;
-  return cfg;
-}
-
-struct HybridWorkload {
-  std::unique_ptr<Index> index;
-  uint64_t last_version = 0;
-
-  std::vector<Scheduler::ThreadFn> MakeThreads() {
-    index = std::make_unique<Index>(HybridConfig());
-    last_version = 0;
-    // Pre-populate OUTSIDE the scheduler: keys 1..3 are committed state the
-    // reader may assert on.
-    for (uint64_t k = 1; k <= 3; ++k) index->Insert(k * 10, k);
-    index->Merge();  // push them into the static stage
-
-    Index* idx = index.get();
-    return {
-        // Writer: crosses the merge threshold, so this thread runs
-        // freeze -> drain -> publish with yield points throughout.
-        [idx] {
-          idx->Insert(100, 100);
-          idx->Insert(101, 101);  // trigger: freeze+drain+publish inline
-        },
-        // Reader: pre-merge keys must stay visible through every
-        // interleaving of the writer's merge.
-        [idx] {
-          for (int round = 0; round < 2; ++round) {
-            for (uint64_t k = 1; k <= 3; ++k) {
-              uint64_t v = 0;
-              if (!idx->Lookup(k * 10, &v))
-                met::race::Fail("hybrid: key %" PRIu64
-                                " vanished during merge (round %d)",
-                                k * 10, round);
-              if (v != k)
-                met::race::Fail("hybrid: key %" PRIu64 " read %" PRIu64
-                                ", want %" PRIu64,
-                                k * 10, v, k);
-            }
-          }
-        },
-    };
-  }
-
-  // Runs on the orchestrating thread with every virtual thread parked at a
-  // yield boundary: snapshot pointer sane, version never goes backwards.
-  void StepCheck() {
-    const auto* idx = index.get();
-    if (idx == nullptr) return;
-    uint64_t version = idx->SnapshotVersion();
-    if (version < last_version)
-      throw met::race::FailureError{"hybrid: snapshot version went backwards"};
-    last_version = version;
-  }
-
-  // After the threads joined (quiescent): the full PR-3 state machine.
-  void FinalCheck() {
-    index->WaitForMergeIdle();
-    std::ostringstream os;
-    if (!index->Validate(os))
-      throw met::race::FailureError{"hybrid: ValidateImpl failed:\n" +
-                                    os.str()};
-    uint64_t v = 0;
-    for (uint64_t k = 1; k <= 3; ++k)
-      if (!index->Lookup(k * 10, &v) || v != k)
-        throw met::race::FailureError{"hybrid: committed key lost at exit"};
-    if (!index->Lookup(100, &v) || v != 100 || !index->Lookup(101, &v) ||
-        v != 101)
-      throw met::race::FailureError{"hybrid: writer's keys lost at exit"};
-  }
-};
-
-// ---------------------------------------------------------------------------
-// epoch: publish-then-retire vs the injected retire-then-publish bug
-// ---------------------------------------------------------------------------
-
-struct EpochObject {
-  uint64_t payload = 0;
-  bool freed = false;
-};
-
-struct EpochWorkload {
-  bool inject = false;
-
-  std::unique_ptr<met::hybrid::EpochDomain> domain;
-  std::unique_ptr<met::sync::Atomic<const EpochObject*>> published;
-  // Own every object ever published; "freeing" sets the freed bit so a
-  // use-after-free is detectable instead of UB.
-  std::vector<std::unique_ptr<EpochObject>> objects;
-
-  std::vector<Scheduler::ThreadFn> MakeThreads() {
-    domain = std::make_unique<met::hybrid::EpochDomain>();
-    objects.clear();
-    objects.push_back(std::make_unique<EpochObject>());
-    objects.back()->payload = 1;
-    published = std::make_unique<met::sync::Atomic<const EpochObject*>>(
-        objects.back().get());
-
-    auto* dom = domain.get();
-    auto* pub = published.get();
-    EpochObject* next = [this] {
-      objects.push_back(std::make_unique<EpochObject>());
-      objects.back()->payload = 2;
-      return objects.back().get();
-    }();
-    bool broken = inject;
-
-    return {
-        // Publisher: swap the published object and retire the old one.
-        [dom, pub, next, broken] {
-          const EpochObject* old = pub->load();
-          if (broken) {
-            // BUG under test: retire before unpublish. A reader that pins
-            // after this retire can still load `old` and dereference it
-            // after reclamation.
-            dom->Retire([dom_old = old] {
-              const_cast<EpochObject*>(dom_old)->freed = true;
-            });
-            pub->store(next);
-          } else {
-            pub->store(next);
-            dom->Retire([dom_old = old] {
-              const_cast<EpochObject*>(dom_old)->freed = true;
-            });
-          }
-          dom->TryReclaim();
-        },
-        // Reader: pin, load, dereference, unpin — the EBR contract. The
-        // explicit yield between load and dereference models real readers,
-        // which use the pointer for an arbitrary stretch of pinned time.
-        [dom, pub] {
-          met::hybrid::EpochGuard g(*dom);
-          const EpochObject* o = pub->load();
-          met::race::YieldPoint("epoch.use");
-          if (o->freed)
-            met::race::Fail(
-                "epoch: dereferenced a reclaimed object (payload %" PRIu64 ")",
-                o->payload);
-          if (o->payload != 1 && o->payload != 2)
-            met::race::Fail("epoch: torn payload %" PRIu64, o->payload);
-        },
-        // Second reader doubles the pin/unpin interleavings.
-        [dom, pub] {
-          met::hybrid::EpochGuard g(*dom);
-          const EpochObject* o = pub->load();
-          met::race::YieldPoint("epoch.use");
-          if (o->freed) met::race::Fail("epoch: reader2 hit freed object");
-        },
-    };
-  }
-
-  void FinalCheck() {
-    std::ostringstream os;
-    if (!domain->Validate(os))
-      throw met::race::FailureError{"epoch: domain invariants failed:\n" +
-                                    os.str()};
-  }
-};
 
 // ---------------------------------------------------------------------------
 // wal: group commit under a harness mutex, replay-count oracle
@@ -413,25 +238,19 @@ int main(int argc, char** argv) {
   // OUTSIDE the scheduler: a first-touch inside an explored region would
   // make executions non-deterministic across the DFS.
   met::obs::WarmUp();
-  (void)met::ConcurrentHybridObsMetrics::Get();
+  (void)met::HybridObsMetrics::Get();
 
   if (cli.workload == "hybrid") {
-    HybridWorkload w;
-    {  // also warm the index's own statics (LsmObsMetrics etc.)
-      auto warm = w.MakeThreads();
-      for (auto& fn : warm) fn();
-      w.FinalCheck();
+    {  // warm the index's own statics with one unscheduled, bug-free run
+      met::check::HybridHandoffModel warm(/*inject=*/false);
+      auto fns = warm.MakeThreads();
+      std::thread drain(fns[1]);
+      fns[0]();
+      drain.join();
+      warm.FinalCheck();
     }
+    met::check::HybridHandoffModel w(cli.inject);
     return Drive(&w, cli, [&w] { w.StepCheck(); });
-  }
-  if (cli.workload == "epoch") {
-    EpochWorkload w;
-    w.inject = cli.inject;
-    {
-      auto warm = w.MakeThreads();
-      for (auto& fn : warm) fn();
-    }
-    return Drive(&w, cli, nullptr);
   }
   if (cli.workload == "wal") {
     WalWorkload w;
