@@ -12,9 +12,9 @@
 // the internal levels reference leaf indices, so they cost 4 bytes per
 // separator regardless of key size.
 //
-// Merge support (Section 5.2.1): MergeApply() merges a sorted run of new
-// entries into the existing ones; BuildFrom() bulk-builds from a sorted
-// stream (the hybrid index's drain). Both rebuild the implicit internal
+// Merge support (Section 5.2.1): the hybrid index's drain streams the old
+// static stage overlaid with the frozen dynamic stage into BuildFrom() on a
+// fresh tree, which bulk-builds the leaves and then the implicit internal
 // levels bottom-up.
 #ifndef MET_BTREE_COMPACT_BTREE_H_
 #define MET_BTREE_COMPACT_BTREE_H_
@@ -32,8 +32,9 @@
 
 namespace met {
 
-/// An entry fed into Build/MergeApply. `deleted` marks a tombstone that
-/// removes the matching key from the static stage during merge.
+/// An entry fed into Build, or collected by the hybrid drain from a
+/// dynamic stage. `deleted` marks a tombstone that removes the matching key
+/// from the static stage during merge.
 template <typename Key, typename Value>
 struct MergeEntry {
   Key key;
@@ -221,39 +222,6 @@ class CompactBTree {
     });
     store_.ShrinkToFit();
     BuildLevels();
-  }
-
-  /// Merges a sorted run of new entries (which may shadow or tombstone
-  /// existing keys) into this tree and rebuilds the internal levels.
-  /// New entries win over existing entries with equal keys.
-  void MergeApply(const std::vector<Entry>& updates) {
-    std::vector<Entry> merged;
-    merged.reserve(store_.size() + updates.size());
-    size_t i = 0, j = 0;
-    while (i < store_.size() || j < updates.size()) {
-      if (j >= updates.size()) {
-        merged.push_back(Entry{Key(store_.KeyAt(i)), store_.ValueAt(i), false});
-        ++i;
-      } else if (i >= store_.size()) {
-        if (!updates[j].deleted) merged.push_back(updates[j]);
-        ++j;
-      } else {
-        KeyView sk = store_.KeyAt(i);
-        const Key& uk = updates[j].key;
-        if (sk < uk) {
-          merged.push_back(Entry{Key(sk), store_.ValueAt(i), false});
-          ++i;
-        } else if (uk < sk) {
-          if (!updates[j].deleted) merged.push_back(updates[j]);
-          ++j;
-        } else {  // equal: update shadows (or deletes) the static entry
-          if (!updates[j].deleted) merged.push_back(updates[j]);
-          ++i;
-          ++j;
-        }
-      }
-    }
-    Build(std::move(merged));
   }
 
   /// Unified point lookup (met::ReadOnlyPointIndex surface).

@@ -334,9 +334,10 @@ class HybridDiffAdapter {
 };
 
 // ---------------------------------------------------------------------------
-// Static merge structures (CompactBTree / CompressedBTree / CompactSkipList):
-// ops are batched into sorted MergeEntry runs (erase => tombstone); reads are
-// checked against the already-merged state.
+// Static merge structures (CompactBTree / CompressedBTree): ops are batched
+// (erase => tombstone, last write wins) and applied to the oracle's merged
+// state, which the tree is rebuilt from through BuildFrom, the hybrid
+// drain's bulk builder; reads are checked against the merged state.
 // ---------------------------------------------------------------------------
 
 template <typename StaticTree>
@@ -347,7 +348,7 @@ DiffResult RunStaticMergeOps(StaticTree& tree,
   using Entry = typename StaticTree::Entry;
   DiffResult res;
   std::map<std::string, uint64_t> merged;  // state the tree has absorbed
-  std::map<std::string, Entry> pending;    // next MergeApply batch, last wins
+  std::map<std::string, Entry> pending;    // next merge batch, last wins
   auto fail = [&](size_t i, std::string msg) {
     res.ok = false;
     res.failed_op = i;
@@ -356,15 +357,14 @@ DiffResult RunStaticMergeOps(StaticTree& tree,
 
   auto flush = [&](size_t i) {
     if (pending.empty()) return;
-    std::vector<Entry> updates;
-    updates.reserve(pending.size());
-    for (const auto& kv : pending) updates.push_back(kv.second);
-    tree.MergeApply(updates);
     for (const auto& kv : pending) {
       if (kv.second.deleted) merged.erase(kv.first);
       else merged[kv.first] = kv.second.value;
     }
     pending.clear();
+    tree.BuildFrom(merged.size(), [&merged](auto&& emit) {
+      for (const auto& [k, v] : merged) emit(k, v);
+    });
 
     std::ostringstream verr;
     if (!ValidateIfAvailable(tree, verr)) {

@@ -32,28 +32,6 @@
 
 namespace met {
 
-/// Uniform outcome of one mutation through the unified Insert/Update/Remove
-/// surface (IndexInsert/IndexUpdate/IndexRemove below).
-///
-///   kInserted — the key was absent (or dead) and is now live with the value.
-///   kUpdated  — the key was live and its value was replaced.
-///   kRemoved  — the key was live and is now dead.
-///   kNotFound — Update/Remove target was not live; nothing changed.
-///   kExists   — unique-mode Insert hit a live key; nothing changed.
-enum class MutateOutcome : uint8_t {
-  kInserted,
-  kUpdated,
-  kRemoved,
-  kNotFound,
-  kExists,
-};
-
-/// True for the outcomes that changed the structure.
-constexpr bool MutateOk(MutateOutcome o) {
-  return o == MutateOutcome::kInserted || o == MutateOutcome::kUpdated ||
-         o == MutateOutcome::kRemoved;
-}
-
 /// Uniform result of one unified point lookup. Batch kernels fill arrays of
 /// these; the scalar convenience overloads return it by value.
 struct LookupResult {
@@ -89,46 +67,6 @@ concept RangeIndex =
     PointIndex<T, K, V> &&
     requires(const T& t, const K& k, size_t n, std::vector<V>* out) {
       { t.Scan(k, n, out) } -> std::convertible_to<size_t>;
-    };
-
-/// Uniform mutation entry points: the classic bool Insert/Update/Erase
-/// idiom mapped onto outcomes. The requires clauses keep the dispatchers
-/// SFINAE-honest so MutablePointIndex below only claims types that can
-/// actually serve them.
-template <typename T, typename K, typename V>
-  requires requires(T& t, const K& k, const V& v) {
-    { t.Insert(k, v) } -> std::convertible_to<bool>;
-  }
-MutateOutcome IndexInsert(T& t, const K& k, const V& v) {
-  return t.Insert(k, v) ? MutateOutcome::kInserted : MutateOutcome::kExists;
-}
-
-template <typename T, typename K, typename V>
-  requires requires(T& t, const K& k, const V& v) {
-    { t.Update(k, v) } -> std::convertible_to<bool>;
-  }
-MutateOutcome IndexUpdate(T& t, const K& k, const V& v) {
-  return t.Update(k, v) ? MutateOutcome::kUpdated : MutateOutcome::kNotFound;
-}
-
-template <typename T, typename K, typename V = uint64_t>
-  requires requires(T& t, const K& k) {
-    { t.Erase(k) } -> std::convertible_to<bool>;
-  }
-MutateOutcome IndexRemove(T& t, const K& k) {
-  return t.Erase(k) ? MutateOutcome::kRemoved : MutateOutcome::kNotFound;
-}
-
-/// The unified mutable surface: anything the IndexInsert/IndexUpdate/
-/// IndexRemove dispatchers accept (every PointIndex with an Update). This
-/// is the concept generic write paths (ycsb, minidb) constrain on.
-template <typename T, typename K, typename V = uint64_t>
-concept MutablePointIndex =
-    ReadOnlyPointIndex<T, K, V> &&
-    requires(T& t, const K& k, const V& v) {
-      { IndexInsert(t, k, v) } -> std::same_as<MutateOutcome>;
-      { IndexUpdate(t, k, v) } -> std::same_as<MutateOutcome>;
-      { IndexRemove<T, K, V>(t, k) } -> std::same_as<MutateOutcome>;
     };
 
 /// Approximate membership filter (Bloom, SuRF): false means certainly

@@ -349,8 +349,13 @@ io::Status LsmTree::Finish() {
 // ---------------------------------------------------------------------------
 
 /// A sorted source of unique keys. key()/value() stay valid until this
-/// cursor's next Next(); no cursor keeps a pointer into the block cache, so
-/// any number of cursors can advance in any order.
+/// cursor's next Next() or Open(); no cursor keeps a pointer into the block
+/// cache, so any number of cursors can advance in any order.
+///
+/// A source that reads blocks may be unopened (exact() false): key() is
+/// then only a lower bound on its next key, value() is empty, and Open()
+/// reads toward that key (the source may stay unopened with a larger
+/// bound). MergeCursor opens a source only when its bound is the minimum.
 class LsmTree::Cursor {
  public:
   Cursor() = default;
@@ -358,7 +363,9 @@ class LsmTree::Cursor {
   Cursor& operator=(const Cursor&) = delete;
   virtual ~Cursor() = default;
   virtual void Next() = 0;
+  virtual void Open() {}
   bool Valid() const { return valid_; }
+  bool exact() const { return exact_; }
   std::string_view key() const { return key_; }
   std::string_view value() const { return value_; }
   /// Non-OK once a read failed; the cursor is then no longer valid.
@@ -366,6 +373,7 @@ class LsmTree::Cursor {
 
  protected:
   bool valid_ = false;
+  bool exact_ = true;
   std::string_view key_, value_;
   io::Status status_;
 };
@@ -393,24 +401,37 @@ class LsmTree::MemCursor final : public Cursor {
 };
 
 /// Walks a run of disjoint tables in key order (one L0 table, or a level's
-/// tables) block by block, from the first key >= lk. Scans go through the
-/// block cache and copy a few entries at a time, as raw bytes plus offsets,
-/// out of the cache slot; compactions (`direct`) read and verify each block
-/// from the file into the cursor's own buffer and walk it in place.
-/// Quarantined and corrupt blocks are skipped.
+/// tables) block by block, from the first key >= lk. Compactions (`direct`)
+/// read and verify each block from the file into the cursor's own buffer
+/// and walk it in place. Range reads go through the block cache and copy a
+/// few entries at a time, as raw bytes plus offsets, out of the cache slot.
+/// A range read's cursor starts unopened, its bound the first table's
+/// min_key when lk precedes it, else that table's SuRF candidate
+/// MoveToNext(lk) (a table whose SuRF has no key >= lk is skipped), else
+/// lk; after each block it parks unopened at the next block's first key,
+/// from the fence index. Quarantined and corrupt blocks are skipped.
 class LsmTree::RunCursor final : public Cursor {
  public:
   RunCursor(LsmTree* tree, std::vector<const SsTable*> tables,
             std::string_view lk, bool direct)
-      : tree_(tree), tables_(std::move(tables)), direct_(direct) {
-    if (!tables_.empty()) block_ = FenceBlock(tables_[0]->block_first_key, lk);
-    Load(lk);
+      : tree_(tree), tables_(std::move(tables)), lk_(lk), direct_(direct) {
+    Start();
+    if (direct_) Load();
+  }
+  ~RunCursor() override {
+    // A SuRF bound that was never opened saved that table's block read.
+    if (surf_bound_) ++tree_->stats_.filter_negatives;
+  }
+  void Open() override {
+    if (valid_ && !exact_) Load();
   }
   void Next() override {
     if (++pos_ < buf_.count()) {
       Settle();
+    } else if (direct_ || entry_ != 0) {
+      Load();
     } else {
-      Load({});
+      Park();
     }
   }
 
@@ -424,27 +445,64 @@ class LsmTree::RunCursor final : public Cursor {
     value_ = buf_.value(pos_);
   }
 
-  // Fills buf_ with the next entries >= lk; invalid at the end of the run
-  // or on an I/O error.
-  void Load(std::string_view lk) {
-    pos_ = 0;
-    while (table_ < tables_.size()) {
+  void Start() {
+    for (; table_ < tables_.size(); ++table_, block_ = 0) {
       const SsTable& t = *tables_[table_];
-      if (block_ == t.block_first_key.size()) {
-        ++table_;
-        block_ = 0;
-        continue;
+      if (lk_ <= t.min_key) break;
+      block_ = FenceBlock(t.block_first_key, lk_);
+      valid_ = true;
+      exact_ = false;
+      key_ = lk_;
+      if (t.surf == nullptr) return;
+      ++tree_->stats_.filter_probes;
+      Surf::SeekResult r = t.surf->MoveToNext(lk_);
+      if (r.found) {
+        // A prefix of the table's next key. A prefix of lk itself
+        // (fp_flag) bounds less tightly than lk.
+        if (r.key > lk_) {
+          bound_ = std::move(r.key);
+          key_ = bound_;
+        }
+        surf_bound_ = true;
+        return;
       }
+      ++tree_->stats_.filter_negatives;
+    }
+    Park();
+  }
+
+  // Steps past exhausted tables; false at the end of the run.
+  bool AtBlock() {
+    for (; table_ < tables_.size(); ++table_, block_ = 0)
+      if (block_ < tables_[table_]->block_first_key.size()) return true;
+    return false;
+  }
+
+  // Unopened at block_, bound by its first key; invalid at the end.
+  void Park() {
+    exact_ = false;
+    valid_ = AtBlock();
+    if (valid_) key_ = tables_[table_]->block_first_key[block_];
+  }
+
+  // Fills buf_ with the next entries >= lk. Direct mode reads blocks until
+  // one has such an entry; cache mode reads one and parks after it when it
+  // has none. Invalid at the end of the run or on an I/O error.
+  void Load() {
+    surf_bound_ = false;
+    pos_ = 0;
+    while (AtBlock()) {
+      const SsTable& t = *tables_[table_];
       if (direct_) {
         const bool ok = tree_->ReadBlockDirect(t, block_++, &buf_, &status_);
         if (!status_.ok()) break;
         if (!ok) continue;
-        pos_ = buf_.LowerBound(lk);
+        pos_ = buf_.LowerBound(lk_);
       } else {
         const RawBlock* b = tree_->GetBlock(t, block_);
         size_t from = entry_, to = 0;
         if (b != nullptr) {
-          if (from == 0) from = b->LowerBound(lk);
+          if (from == 0) from = b->LowerBound(lk_);
           to = std::min(b->count(), from + kCacheCopyBatch);
           buf_.CopyFrom(*b, from, to);
         } else {
@@ -458,8 +516,12 @@ class LsmTree::RunCursor final : public Cursor {
         }
       }
       if (pos_ < buf_.count()) {
-        valid_ = true;
+        valid_ = exact_ = true;
         Settle();
+        return;
+      }
+      if (!direct_) {
+        Park();
         return;
       }
     }
@@ -468,25 +530,33 @@ class LsmTree::RunCursor final : public Cursor {
 
   LsmTree* tree_;
   std::vector<const SsTable*> tables_;
+  const std::string_view lk_;
   const bool direct_;
   size_t table_ = 0, block_ = 0;
   size_t entry_ = 0;  // cache mode: next entry of block_ to copy
   RawBlock buf_;
   size_t pos_ = 0;
+  std::string bound_;        // the SuRF candidate key_ points at
+  bool surf_bound_ = false;  // key_ is an unopened table's SuRF bound
 };
 
 /// K-way merge of sources given oldest first: yields each key once, with
-/// the value of the newest source holding it. Stops with that source's
-/// status when any source fails a read.
+/// the value of the newest source holding it, up to `hk` when set. An
+/// unopened source is opened only when its bound is the smallest head (on
+/// a tie it opens before an open source holding that key), so a source
+/// whose bound lies past the keys read costs no block. Stops with a
+/// source's status when that source fails a read.
 class LsmTree::MergeCursor final : public Cursor {
  public:
-  explicit MergeCursor(std::vector<std::unique_ptr<Cursor>> sources)
-      : src_(std::move(sources)) {
+  explicit MergeCursor(std::vector<std::unique_ptr<Cursor>> sources,
+                       std::optional<std::string_view> hk = std::nullopt)
+      : src_(std::move(sources)), hk_(hk) {
     Pick();
   }
   void Next() override {
     // Older versions of the current key are skipped before the winner
-    // moves on (key_ points into the winner's buffer).
+    // moves on (key_ points into the winner's buffer). No unopened source
+    // is among them: Pick's tie rule leaves every unopened bound past key_.
     for (auto& c : src_)
       if (c.get() != top_ && c->Valid() && c->key() == key_) c->Next();
     top_->Next();
@@ -495,16 +565,24 @@ class LsmTree::MergeCursor final : public Cursor {
 
  private:
   void Pick() {
-    top_ = nullptr;
-    for (auto& c : src_) {
-      if (!c->status().ok()) {
-        status_ = c->status();
-        valid_ = false;
-        return;
+    while (true) {
+      top_ = nullptr;
+      for (auto& c : src_) {
+        if (!c->status().ok()) {
+          status_ = c->status();
+          valid_ = false;
+          return;
+        }
+        // On equal keys an unopened source goes first, then the later,
+        // newer source wins.
+        if (c->Valid() &&
+            (top_ == nullptr || c->key() < top_->key() ||
+             (c->key() == top_->key() && (top_->exact() || !c->exact()))))
+          top_ = c.get();
       }
-      // `<=`: on equal keys the later, newer source wins.
-      if (c->Valid() && (top_ == nullptr || c->key() <= top_->key()))
-        top_ = c.get();
+      if (top_ != nullptr && hk_ && top_->key() > *hk_) top_ = nullptr;
+      if (top_ == nullptr || top_->exact()) break;
+      top_->Open();
     }
     valid_ = top_ != nullptr;
     if (valid_) {
@@ -514,6 +592,7 @@ class LsmTree::MergeCursor final : public Cursor {
   }
 
   std::vector<std::unique_ptr<Cursor>> src_;
+  const std::optional<std::string_view> hk_;
   Cursor* top_ = nullptr;
 };
 
@@ -1102,6 +1181,7 @@ void LsmTree::RawBlock::CopyFrom(const RawBlock& src, size_t from, size_t to) {
   const size_t end = to == src.count() ? src.size : src.offsets[to];
   std::memcpy(Prepare(end - begin), src.bytes.get() + begin, end - begin);
   size = end - begin;
+  offsets.reserve(to - from);
   for (size_t i = from; i < to; ++i) offsets.push_back(src.offsets[i] - begin);
 }
 
@@ -1230,15 +1310,6 @@ bool LsmTree::FilterMayContain(const SsTable& t, std::string_view key) {
   return may;
 }
 
-bool LsmTree::FilterMayContainRange(const SsTable& t, std::string_view lk,
-                                    std::string_view hk) {
-  if (t.surf == nullptr) return true;  // Bloom cannot answer ranges
-  ++stats_.filter_probes;
-  bool may = t.surf->MayContainRange(lk, hk);
-  if (!may) ++stats_.filter_negatives;
-  return may;
-}
-
 bool LsmTree::TableGet(const SsTable& t, std::string_view key,
                        std::string* value, const bool* filter_hint) {
   if (key < t.min_key || key > t.max_key) return false;
@@ -1336,164 +1407,77 @@ bool LsmTree::Lookup(std::string_view key, std::string* value) {
   return false;
 }
 
-std::optional<std::string> LsmTree::TableSeek(const SsTable& t,
-                                              std::string_view lk) {
-  if (lk > t.max_key) return std::nullopt;
-  size_t block = FenceBlock(t.block_first_key, lk);
-  while (block < t.block_first_key.size()) {
-    const RawBlock* b = GetBlock(t, block);
-    if (b == nullptr) {  // quarantined: skip to the next block
-      ++block;
-      continue;
+LsmTree::MergeCursor LsmTree::RangeCursor(
+    std::string_view lk, std::optional<std::string_view> hk,
+    std::vector<const SsTable*>* surf_tables) {
+  // Sources oldest first: each level from the deepest up to L1 as one run
+  // from its first table reaching lk, each L0 table reaching lk in creation
+  // order, then the memtable. With hk, a run ends at the first table
+  // starting past it.
+  std::vector<std::unique_ptr<Cursor>> sources;
+  sources.reserve(levels_.size() + levels_[0].size());
+  auto add_run = [&](auto first, auto last) {
+    std::vector<const SsTable*> run;
+    run.reserve(last - first);
+    for (; first != last && !(hk && (*first)->min_key > *hk); ++first) {
+      if (surf_tables != nullptr && (*first)->surf != nullptr) {
+        surf_tables->push_back(first->get());
+      } else {
+        run.push_back(first->get());
+      }
     }
-    const size_t i = b->LowerBound(lk);
-    if (i < b->count()) return std::string(b->key(i));
-    ++block;
+    if (!run.empty())
+      sources.push_back(
+          std::make_unique<RunCursor>(this, std::move(run), lk, false));
+  };
+  for (size_t l = levels_.size(); l-- > 1;) {
+    const auto& level = levels_[l];
+    add_run(std::lower_bound(level.begin(), level.end(), lk,
+                             [](const auto& t, std::string_view k) {
+                               return t->max_key < k;
+                             }),
+            level.end());
   }
-  return std::nullopt;
+  for (auto t = levels_[0].begin(); t != levels_[0].end(); ++t)
+    if (lk <= (*t)->max_key) add_run(t, t + 1);
+  sources.push_back(std::make_unique<MemCursor>(memtable_, lk));
+  return MergeCursor(std::move(sources), hk);
 }
 
 std::optional<std::string> LsmTree::Seek(std::string_view lk) {
-  return ClosedSeek(lk, std::string_view());
+  MergeCursor c = RangeCursor(lk, std::nullopt);
+  if (!c.Valid()) return std::nullopt;
+  return std::string(c.key());
 }
 
 std::optional<std::string> LsmTree::ClosedSeek(std::string_view lk,
                                                std::string_view hk) {
-  // hk empty => open seek.
-  std::optional<std::string> best;
-  auto consider = [&](std::optional<std::string> cand) {
-    if (!cand) return;
-    if (!best || *cand < *best) best = std::move(cand);
-  };
-
-  // MemTable candidate (no I/O).
-  auto mit = memtable_.lower_bound(lk);
-  if (mit != memtable_.end()) consider(mit->first);
-
-  // Gather the candidate table per level (plus L0 overlaps).
-  std::vector<const SsTable*> tables;
-  for (auto t = levels_[0].rbegin(); t != levels_[0].rend(); ++t)
-    if (lk <= (*t)->max_key) tables.push_back(t->get());
-  for (size_t l = 1; l < levels_.size(); ++l) {
-    const auto& level = levels_[l];
-    auto lit = std::upper_bound(
-        level.begin(), level.end(), lk,
-        [](std::string_view k, const auto& t) { return k < t->min_key; });
-    if (lit != level.begin()) {
-      auto prev = lit - 1;
-      if (lk <= (*prev)->max_key) tables.push_back(prev->get());
-    }
-    if (lit != level.end()) tables.push_back(lit->get());
-  }
-
-  if (!hk.empty()) {
-    // Closed seek: the range filter proves most tables empty with no I/O.
-    for (const SsTable* t : tables) {
-      if (t->surf != nullptr) {
-        ++stats_.filter_probes;
-        if (!t->surf->MayContainRange(lk, hk)) {
-          ++stats_.filter_negatives;
-          continue;
-        }
-      }
-      consider(TableSeek(*t, lk));
-    }
-    if (!best) return std::nullopt;
-    if (*best > std::string(hk)) return std::nullopt;
-    return best;
-  }
-
-  // Open seek (Section 4.2): obtain each table's candidate from its SuRF
-  // without I/O, then fetch blocks only where the truncated candidate could
-  // still be the global minimum. A table whose candidate prefix sorts after
-  // an already-resolved full key cannot win (its real key >= its prefix).
-  std::vector<std::pair<std::string, const SsTable*>> surf_cands;
-  for (const SsTable* t : tables) {
-    if (t->surf == nullptr) {
-      consider(TableSeek(*t, lk));  // no filter: must fetch
-      continue;
-    }
-    ++stats_.filter_probes;
-    Surf::SeekResult r = t->surf->MoveToNext(lk);
-    if (!r.found) {
-      ++stats_.filter_negatives;
-      continue;
-    }
-    surf_cands.emplace_back(std::move(r.key), t);
-  }
-  std::sort(surf_cands.begin(), surf_cands.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [prefix, t] : surf_cands) {
-    if (best && prefix > *best) {
-      ++stats_.filter_negatives;  // I/O avoided by the filter candidate
-      continue;
-    }
-    consider(TableSeek(*t, lk));
-  }
-  return best;
+  MergeCursor c = RangeCursor(lk, hk);
+  if (!c.Valid()) return std::nullopt;
+  return std::string(c.key());
 }
 
 void LsmTree::Scan(
     std::string_view lk,
     const std::function<bool(std::string_view, std::string_view)>& visitor) {
-  // Sources oldest first: the deepest level up to L1 (each from its first
-  // table reaching lk), L0 in creation order, then the memtable.
-  std::vector<std::unique_ptr<Cursor>> sources;
-  for (size_t l = levels_.size(); l-- > 1;) {
-    const auto& level = levels_[l];
-    auto it = std::lower_bound(
-        level.begin(), level.end(), lk,
-        [](const auto& t, std::string_view k) { return t->max_key < k; });
-    if (it == level.end()) continue;
-    std::vector<const SsTable*> run;
-    for (; it != level.end(); ++it) run.push_back(it->get());
-    sources.push_back(
-        std::make_unique<RunCursor>(this, std::move(run), lk, false));
-  }
-  for (const auto& t : levels_[0]) {
-    if (lk > t->max_key) continue;
-    sources.push_back(std::make_unique<RunCursor>(
-        this, std::vector<const SsTable*>{t.get()}, lk, false));
-  }
-  sources.push_back(std::make_unique<MemCursor>(memtable_, lk));
-  for (MergeCursor c(std::move(sources)); c.Valid(); c.Next())
+  for (MergeCursor c = RangeCursor(lk, std::nullopt); c.Valid(); c.Next())
     if (!visitor(c.key(), c.value())) break;
 }
 
 uint64_t LsmTree::Count(std::string_view lk, std::string_view hk) {
-  // A key overwritten after a flush has stale versions in older components
-  // (memtable vs L0 vs deeper levels), so the exact path must count distinct
-  // keys across everything it scans. SuRF-filtered tables instead report an
-  // in-memory approximate count with no I/O — and no dedup.
-  uint64_t approx = 0;
-  std::set<std::string, std::less<>> scanned;
-  for (auto it = memtable_.lower_bound(lk);
-       it != memtable_.end() && it->first <= hk; ++it)
-    scanned.insert(it->first);
-
-  auto count_table = [&](const SsTable& t) {
-    if (lk > t.max_key || hk < t.min_key) return;
-    if (t.surf != nullptr) {
-      ++stats_.filter_probes;
-      approx += t.surf->Count(lk, hk);  // in-memory, no I/O
-      return;
-    }
-    // Scan blocks.
-    for (size_t block = FenceBlock(t.block_first_key, lk);
-         block < t.block_first_key.size(); ++block) {
-      if (std::string_view(t.block_first_key[block]) > hk) break;
-      const RawBlock* b = GetBlock(t, block);
-      if (b == nullptr) continue;  // quarantined
-      for (size_t i = b->LowerBound(lk); i < b->count() && b->key(i) <= hk;
-           ++i)
-        scanned.emplace(b->key(i));
-    }
-  };
-
-  for (const auto& t : levels_[0]) count_table(*t);
-  for (size_t l = 1; l < levels_.size(); ++l)
-    for (const auto& t : levels_[l]) count_table(*t);
-  return approx + scanned.size();
+  // Exact over the memtable and the unfiltered tables: the merge yields
+  // each key once, whatever stale versions older components hold. Each
+  // SuRF table adds its in-memory estimate instead, with no I/O and no
+  // dedup.
+  std::vector<const SsTable*> surf_tables;
+  uint64_t n = 0;
+  for (MergeCursor c = RangeCursor(lk, hk, &surf_tables); c.Valid(); c.Next())
+    ++n;
+  for (const SsTable* t : surf_tables) {
+    ++stats_.filter_probes;
+    n += t->surf->Count(lk, hk);
+  }
+  return n;
 }
 
 size_t LsmTree::FilterMemoryBytes() const {

@@ -180,9 +180,9 @@ class LsmTree {
             const std::function<bool(std::string_view key,
                                      std::string_view value)>& visitor);
 
-  /// Count of distinct keys in [lk, hk]: exact without SuRF (scans blocks
-  /// and dedupes stale versions across components); filter-accelerated and
-  /// approximate with SuRF.
+  /// Count of distinct keys in [lk, hk]: exact without SuRF (the merged
+  /// components count each key once); approximate with SuRF, whose tables
+  /// answer from the filter with no I/O.
   uint64_t Count(std::string_view lk, std::string_view hk);
 
   /// Flushes the memtable and compacts until all level limits hold.
@@ -287,8 +287,9 @@ class LsmTree {
   using MemTable = std::map<std::string, std::string, std::less<>>;
 
   // Streaming merge (DESIGN.md, "LSM merge cursor and table builder"):
-  // sorted sources (the memtable, runs of table blocks) merged newest-wins
-  // and streamed into a TableBuilder, so no path materializes a table.
+  // sorted sources (the memtable, runs of table blocks) merged newest-wins,
+  // streamed into a TableBuilder or read by a range read, so no path
+  // materializes a table.
   class Cursor;
   class MemCursor;
   class RunCursor;
@@ -323,13 +324,18 @@ class LsmTree {
   /// (scalar order) instead of re-executed.
   bool TableGet(const SsTable& t, std::string_view key, std::string* value,
                 const bool* filter_hint = nullptr);
-  /// Smallest key >= lk stored in `t` (reads one block unless absent).
-  std::optional<std::string> TableSeek(const SsTable& t, std::string_view lk);
-
-  /// Filter checks: true = must read, false = certainly absent.
+  /// Point filter check: true = must read, false = certainly absent.
   bool FilterMayContain(const SsTable& t, std::string_view key);
-  bool FilterMayContainRange(const SsTable& t, std::string_view lk,
-                             std::string_view hk);
+
+  /// The one range-read path (Seek, ClosedSeek, Scan, Count): every source
+  /// reaching `lk` under a MergeCursor that stops past `hk` when set. A
+  /// table starts unopened, so the cursor reads a table's block only when
+  /// its lower bound (min_key, or its SuRF's MoveToNext(lk)) is the
+  /// smallest head. With `surf_tables` (Count), SuRF tables overlapping
+  /// [lk, hk] are listed there instead of read.
+  MergeCursor RangeCursor(std::string_view lk,
+                          std::optional<std::string_view> hk,
+                          std::vector<const SsTable*>* surf_tables = nullptr);
 
   // --- durability internals ---
   /// Builds the configured filter over a table's sorted keys.

@@ -56,16 +56,16 @@ TableIndex::TableIndex(IndexKind kind) : kind_(kind) {
   }
 }
 
-MutateOutcome TableIndex::Insert(uint64_t key, uint64_t tuple_id) {
+bool TableIndex::Insert(uint64_t key, uint64_t tuple_id) {
   switch (kind_) {
     case IndexKind::kBTree:
-      return IndexInsert(*btree_, key, tuple_id);
+      return btree_->Insert(key, tuple_id);
     case IndexKind::kHybrid:
-      return IndexInsert(*hybrid_, key, tuple_id);
+      return hybrid_->Insert(key, tuple_id);
     case IndexKind::kHybridCompressed:
-      return IndexInsert(*compressed_, key, tuple_id);
+      return compressed_->Insert(key, tuple_id);
   }
-  return MutateOutcome::kExists;
+  return false;
 }
 
 bool TableIndex::Lookup(uint64_t key, uint64_t* tuple_id) const {
@@ -80,28 +80,28 @@ bool TableIndex::Lookup(uint64_t key, uint64_t* tuple_id) const {
   return false;
 }
 
-MutateOutcome TableIndex::Update(uint64_t key, uint64_t tuple_id) {
+bool TableIndex::Update(uint64_t key, uint64_t tuple_id) {
   switch (kind_) {
     case IndexKind::kBTree:
-      return IndexUpdate(*btree_, key, tuple_id);
+      return btree_->Update(key, tuple_id);
     case IndexKind::kHybrid:
-      return IndexUpdate(*hybrid_, key, tuple_id);
+      return hybrid_->Update(key, tuple_id);
     case IndexKind::kHybridCompressed:
-      return IndexUpdate(*compressed_, key, tuple_id);
+      return compressed_->Update(key, tuple_id);
   }
-  return MutateOutcome::kNotFound;
+  return false;
 }
 
-MutateOutcome TableIndex::Remove(uint64_t key) {
+bool TableIndex::Remove(uint64_t key) {
   switch (kind_) {
     case IndexKind::kBTree:
-      return IndexRemove(*btree_, key);
+      return btree_->Erase(key);
     case IndexKind::kHybrid:
-      return IndexRemove(*hybrid_, key);
+      return hybrid_->Erase(key);
     case IndexKind::kHybridCompressed:
-      return IndexRemove(*compressed_, key);
+      return compressed_->Erase(key);
   }
-  return MutateOutcome::kNotFound;
+  return false;
 }
 
 size_t TableIndex::Scan(uint64_t key, size_t n,
@@ -156,7 +156,7 @@ MiniTable::MiniTable(MiniDb* db, std::string name, IndexKind kind,
 
 uint64_t MiniTable::Insert(uint64_t pk, std::string_view payload) {
   uint64_t tuple_id = payloads_.size();
-  if (!MutateOk(primary_.Insert(pk, tuple_id))) return ~0ull;
+  if (!primary_.Insert(pk, tuple_id)) return ~0ull;
   payloads_.emplace_back(payload);
   evicted_.push_back(0);
   evict_offset_.push_back(0);
@@ -166,7 +166,7 @@ uint64_t MiniTable::Insert(uint64_t pk, std::string_view payload) {
 }
 
 bool MiniTable::InsertSecondary(size_t idx, uint64_t sk, uint64_t tuple_id) {
-  return MutateOk(secondary_[idx].Insert(sk, tuple_id));
+  return secondary_[idx].Insert(sk, tuple_id);
 }
 
 bool MiniTable::Get(uint64_t pk, std::string* payload) {

@@ -45,11 +45,12 @@ class TableIndex {
  public:
   explicit TableIndex(IndexKind kind);
 
-  // Mutations speak the unified outcome surface (common/index_api.h).
-  MutateOutcome Insert(uint64_t key, uint64_t tuple_id);
+  /// False when the key is already present (Insert) or absent
+  /// (Update, Remove); nothing changes then.
+  bool Insert(uint64_t key, uint64_t tuple_id);
   bool Lookup(uint64_t key, uint64_t* tuple_id = nullptr) const;
-  MutateOutcome Update(uint64_t key, uint64_t tuple_id);
-  MutateOutcome Remove(uint64_t key);
+  bool Update(uint64_t key, uint64_t tuple_id);
+  bool Remove(uint64_t key);
   size_t Scan(uint64_t key, size_t n, std::vector<uint64_t>* out) const;
   size_t MemoryBytes() const;
   size_t MemoryUse() const { return MemoryBytes(); }

@@ -170,6 +170,9 @@ namespace {
 /// epoll user-data tag for the shard's eventfd (connections use slot|gen).
 constexpr uint64_t kEventFdTag = ~uint64_t{0};
 
+/// Most point reads one ShardEngine::GetBatch call serves.
+constexpr size_t kReadGroupWidth = 16;
+
 uint64_t ConnTag(uint32_t slot, uint32_t gen) {
   return (static_cast<uint64_t>(gen) << 32) | slot;
 }
@@ -685,8 +688,6 @@ struct Server::Impl {
   void ExecuteChunk(Shard* s) {
     const size_t chunk = s->run_queue.size();
     metrics.queue_depth->Record(chunk);
-    const size_t width =
-        opts.coalesce_reads ? std::max<size_t>(opts.batch_width, 1) : 1;
     size_t nb = 0;
     bool dirty = false;
     s->write_acks.clear();
@@ -714,7 +715,7 @@ struct Server::Impl {
           }
           s->batch_keys[nb] = item.key;
           s->batch_items[nb] = item;
-          if (++nb == width) {
+          if (++nb == kReadGroupWidth) {
             FlushReadGroup(s, nb);
             nb = 0;
           }
@@ -1061,10 +1062,9 @@ struct Server::Impl {
       MET_ASSERT(epoll_ctl(s->epoll_fd, EPOLL_CTL_ADD, s->event_fd, &ev) == 0);
       s->route_scratch.resize(n);
       s->out_completions.resize(n);
-      size_t width = std::max<size_t>(opts.batch_width, 1);
-      s->batch_keys.resize(width);
-      s->batch_items.resize(width);
-      s->batch_results.resize(width);
+      s->batch_keys.resize(kReadGroupWidth);
+      s->batch_items.resize(kReadGroupWidth);
+      s->batch_results.resize(kReadGroupWidth);
       shards.push_back(std::move(s));
     }
     for (auto& s : shards)

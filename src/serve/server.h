@@ -19,13 +19,14 @@
 //
 // Batch coalescing: each shard drains its admission queue in arrival order
 // and gathers consecutive point reads — across *all* connections — into
-// groups of ServerOptions::batch_width, executed through one
-// ShardEngine::GetBatch call. This is what feeds the PR-4 AMAC prefetch
-// kernels at network concurrency: a single client never has to batch its
-// own requests to get batched execution. MULTIGET is decomposed into
-// per-key reads that join the same groups and is reassembled by the
-// connection owner. Any write flushes the pending read group first, so
-// same-connection pipelined read-your-writes holds.
+// groups of up to 16 (kReadGroupWidth in server.cc), executed through one
+// ShardEngine::GetBatch call. Neither served engine has a native batch
+// kernel: the hybrid goes through met::LookupBatch's scalar fallback and
+// the LSM loops over Get, so a group saves per-read dispatch, not cache
+// misses. MULTIGET is decomposed into per-key reads that join the same
+// groups and is reassembled by the connection owner. Any write flushes the
+// pending read group first, so same-connection pipelined read-your-writes
+// holds.
 //
 // Backpressure (met::guard): every shard owns a cost-aware
 // guard::AdmissionController. Requests are charged an estimated cost
@@ -122,8 +123,6 @@ struct ServerOptions {
   /// Per-shard admission bound in guard cost units (a plain GET costs 1,
   /// so for GET-only traffic this is the old per-request bound).
   size_t queue_capacity = 4096;
-  size_t batch_width = 16;     // read-coalescing group size
-  bool coalesce_reads = true;  // false = execute reads one by one
   /// CoDel-style standing queue-delay target and measurement interval for
   /// the per-shard admission controller (guard/admission.h).
   uint64_t delay_target_us = 5000;

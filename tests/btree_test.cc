@@ -175,27 +175,6 @@ TEST(CompactBTreeTest, LowerBoundMatchesStd) {
     EXPECT_EQ(tree.LowerBoundIndex(keys[i]), i);
 }
 
-TEST(CompactBTreeTest, MergeApplyShadowAndTombstone) {
-  CompactBTree<uint64_t> tree;
-  tree.Build(MakeEntries(std::vector<uint64_t>{10, 20, 30, 40, 50}));
-  std::vector<MergeEntry<uint64_t, uint64_t>> updates = {
-      {5, 100, false},   // new key before all
-      {20, 200, false},  // shadows existing
-      {30, 0, true},     // tombstone removes 30
-      {60, 300, false},  // new key after all
-  };
-  tree.MergeApply(updates);
-  EXPECT_EQ(tree.size(), 6u);
-  uint64_t v = 0;
-  EXPECT_TRUE(tree.Lookup(5, &v));
-  EXPECT_EQ(v, 100u);
-  EXPECT_TRUE(tree.Lookup(20, &v));
-  EXPECT_EQ(v, 200u);
-  EXPECT_FALSE(tree.Lookup(30));
-  EXPECT_TRUE(tree.Lookup(60, &v));
-  EXPECT_EQ(v, 300u);
-}
-
 TEST(CompactBTreeTest, CompactSmallerThanDynamic) {
   auto keys = GenRandomInts(50000);
   BTree<uint64_t> dyn;

@@ -55,18 +55,6 @@ TEST(CompressedBTreeTest, CompressionSavesMemoryOnMonoInc) {
   EXPECT_LT(compressed.MemoryBytes(), compact.MemoryBytes());
 }
 
-TEST(CompressedBTreeTest, MergeApply) {
-  CompressedBTree<uint64_t> t(8);
-  t.Build(Entries(std::vector<uint64_t>{10, 20, 30}));
-  t.MergeApply({{15, 150, false}, {20, 0, true}, {40, 400, false}});
-  uint64_t v = 0;
-  EXPECT_TRUE(t.Lookup(15, &v));
-  EXPECT_EQ(v, 150u);
-  EXPECT_FALSE(t.Lookup(20));
-  EXPECT_TRUE(t.Lookup(40, &v));
-  EXPECT_EQ(t.size(), 4u);
-}
-
 TEST(CompressedBTreeTest, ScanAcrossPages) {
   auto keys = GenMonoIncInts(1000);
   CompressedBTree<uint64_t, uint64_t, 64> t(4);

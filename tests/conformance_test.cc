@@ -187,47 +187,40 @@ TYPED_TEST(StringIndexConformanceTest, EmailWorkloadMatchesStdMap) {
   EXPECT_EQ(this->index.size(), ref.size());
 }
 
-// ---------- outcome mutation API (common/index_api.h) ----------
+// ---------- mutation results ----------
 //
-// The IndexInsert/IndexUpdate/IndexRemove dispatchers must report identical
-// outcomes over every backend (the plain B+tree and the hybrid the memory
-// shard engine serves), so generic write paths (ycsb, minidb) behave the
-// same whichever one they are given.
+// Insert, Update and Erase must report the same bool results over every
+// backend (the plain B+tree and the hybrid the memory shard engine serves),
+// so generic write paths (ycsb, minidb) behave the same whichever one they
+// are given.
 
 template <typename Index>
-class OutcomeApiConformanceTest : public ::testing::Test {
+class MutationConformanceTest : public ::testing::Test {
  public:
   Index index;
 };
 
-using OutcomeApiTypes =
-    ::testing::Types<BTree<uint64_t>, HybridBTree<uint64_t>>;
-TYPED_TEST_SUITE(OutcomeApiConformanceTest, OutcomeApiTypes);
+using MutationTypes = ::testing::Types<BTree<uint64_t>, HybridBTree<uint64_t>>;
+TYPED_TEST_SUITE(MutationConformanceTest, MutationTypes);
 
-TYPED_TEST(OutcomeApiConformanceTest, DispatchersAgreeOnOutcomes) {
+TYPED_TEST(MutationConformanceTest, BackendsAgreeOnResults) {
   auto& t = this->index;
   const uint64_t k = 1;
-  EXPECT_EQ(IndexUpdate(t, k, uint64_t{10}), MutateOutcome::kNotFound);
-  EXPECT_EQ(IndexRemove(t, k), MutateOutcome::kNotFound);
-  EXPECT_EQ(IndexInsert(t, k, uint64_t{10}), MutateOutcome::kInserted);
-  EXPECT_EQ(IndexInsert(t, k, uint64_t{11}), MutateOutcome::kExists);
+  EXPECT_FALSE(t.Update(k, uint64_t{10}));
+  EXPECT_FALSE(t.Erase(k));
+  EXPECT_TRUE(t.Insert(k, uint64_t{10}));
+  EXPECT_FALSE(t.Insert(k, uint64_t{11}));
   uint64_t v = 0;
   EXPECT_TRUE(t.Lookup(k, &v));
   EXPECT_EQ(v, 10u);  // the rejected duplicate left the value alone
-  EXPECT_EQ(IndexUpdate(t, k, uint64_t{20}), MutateOutcome::kUpdated);
+  EXPECT_TRUE(t.Update(k, uint64_t{20}));
   EXPECT_TRUE(t.Lookup(k, &v));
   EXPECT_EQ(v, 20u);
-  EXPECT_EQ(IndexRemove(t, k), MutateOutcome::kRemoved);
-  EXPECT_EQ(IndexRemove(t, k), MutateOutcome::kNotFound);
+  EXPECT_TRUE(t.Erase(k));
+  EXPECT_FALSE(t.Erase(k));
   EXPECT_FALSE(t.Lookup(k, &v));
   EXPECT_EQ(t.size(), 0u);
-  // Reinsert after remove, and MutateOk classifies every outcome seen above.
-  EXPECT_EQ(IndexInsert(t, k, uint64_t{30}), MutateOutcome::kInserted);
-  EXPECT_TRUE(MutateOk(MutateOutcome::kInserted));
-  EXPECT_TRUE(MutateOk(MutateOutcome::kUpdated));
-  EXPECT_TRUE(MutateOk(MutateOutcome::kRemoved));
-  EXPECT_FALSE(MutateOk(MutateOutcome::kNotFound));
-  EXPECT_FALSE(MutateOk(MutateOutcome::kExists));
+  EXPECT_TRUE(t.Insert(k, uint64_t{30}));  // reinsert after remove
 }
 
 // ---------- unified-API concept conformance (common/index_api.h) ----------
@@ -269,11 +262,6 @@ static_assert(!PointIndex<CompactBTree<uint64_t>, uint64_t>);
 static_assert(Filter<Surf>);
 static_assert(Filter<BloomFilter>);
 static_assert(Filter<BloomFilter, uint64_t>);
-
-// Every structure with an Update serves the unified outcome surface through
-// the dispatchers, the served hybrid included.
-static_assert(MutablePointIndex<BTree<uint64_t>, uint64_t>);
-static_assert(MutablePointIndex<HybridBTree<uint64_t>, uint64_t>);
 
 }  // namespace
 }  // namespace met

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "bloom/bloom.h"
-#include "btree/compact_btree.h"
 #include "common/random.h"
 #include "fst/fst.h"
 #include "hope/hope.h"
@@ -151,37 +150,6 @@ TEST(FstPropertyTest, IteratorFullRoundTripRandomInts) {
     EXPECT_EQ(it.value(), i);
   }
   EXPECT_EQ(i, keys.size());
-}
-
-// CompactBTree::MergeApply behaves exactly like applying batches to a map.
-TEST(CompactBTreePropertyTest, RepeatedMergesMatchMap) {
-  CompactBTree<uint64_t> tree;
-  tree.Build({});
-  std::map<uint64_t, uint64_t> ref;
-  Random rng(11);
-  for (int round = 0; round < 20; ++round) {
-    std::map<uint64_t, MergeEntry<uint64_t, uint64_t>> batch;
-    for (int i = 0; i < 500; ++i) {
-      uint64_t k = rng.Uniform(5000);
-      bool del = rng.Uniform(4) == 0;
-      batch[k] = {k, static_cast<uint64_t>(round * 1000 + i), del};
-    }
-    std::vector<MergeEntry<uint64_t, uint64_t>> updates;
-    for (auto& [k, e] : batch) {
-      updates.push_back(e);
-      if (e.deleted)
-        ref.erase(k);
-      else
-        ref[k] = e.value;
-    }
-    tree.MergeApply(updates);
-    ASSERT_EQ(tree.size(), ref.size()) << "round " << round;
-  }
-  for (const auto& [k, v] : ref) {
-    uint64_t got;
-    ASSERT_TRUE(tree.Lookup(k, &got));
-    EXPECT_EQ(got, v);
-  }
 }
 
 TEST(BloomPropertyTest, FprTracksTheory) {

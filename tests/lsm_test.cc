@@ -176,6 +176,58 @@ TEST(LsmTest, CountApproximation) {
   }
 }
 
+// ---------- One range-read path: block fetches per read ----------
+
+// Blocks a read touched, from the cache or from disk.
+uint64_t Fetches(const LsmTree& lsm) {
+  return lsm.stats().block_reads + lsm.stats().block_cache_hits;
+}
+
+struct SeekVsScan {
+  uint64_t seek_fetches = 0, scan_fetches = 0;
+};
+
+// Loads 40k random 8-byte keys with 100-byte values (a tree of several
+// levels over a 64-block cache), then issues the same random queries as
+// Seeks and as one-row Scans.
+SeekVsScan MeasureSeekVsScan(const char* subdir, LsmFilterType filter) {
+  LsmTree lsm(SmallOptions(subdir, filter));
+  const std::string value(100, 'v');
+  for (auto v : GenRandomInts(40000, 41))
+    EXPECT_TRUE(lsm.Put(Uint64ToKey(v), value).ok());
+  EXPECT_TRUE(lsm.Finish().ok());
+  EXPECT_GE(lsm.NumLevels(), 3u);
+  std::vector<std::string> queries;
+  Random rng(43);
+  for (int t = 0; t < 2000; ++t) queries.push_back(Uint64ToKey(rng.Next()));
+  SeekVsScan out;
+  lsm.ResetStats();
+  for (const auto& q : queries) lsm.Seek(q);
+  out.seek_fetches = Fetches(lsm);
+  lsm.ResetStats();
+  for (const auto& q : queries)
+    lsm.Scan(q, [](std::string_view, std::string_view) { return false; });
+  out.scan_fetches = Fetches(lsm);
+  return out;
+}
+
+TEST(LsmRangeReadTest, SeekFetchesNoMoreBlocksThanOneRowScan) {
+  // Seek is the first row of the same cursor a Scan iterates: it must not
+  // read a table's blocks that the scan's merge never needs.
+  SeekVsScan none = MeasureSeekVsScan("fetch_none", LsmFilterType::kNone);
+  EXPECT_GT(none.scan_fetches, 0u);
+  EXPECT_LE(none.seek_fetches, none.scan_fetches);
+}
+
+TEST(LsmRangeReadTest, SurfBoundsSpareOneRowScanBlocks) {
+  // With SuRF-Real a table opens only when its MoveToNext bound is the
+  // smallest head, for a Scan as for a Seek (Open-Seek, Section 4.2).
+  SeekVsScan none = MeasureSeekVsScan("fetch_none2", LsmFilterType::kNone);
+  SeekVsScan surf = MeasureSeekVsScan("fetch_surf", LsmFilterType::kSurfReal);
+  EXPECT_LE(surf.scan_fetches, surf.seek_fetches + surf.seek_fetches / 10);
+  EXPECT_LT(surf.scan_fetches, none.scan_fetches / 2);
+}
+
 // ---------- Streaming merge: Scan and Lookup vs a std::map oracle ----------
 
 using Oracle = std::map<std::string, std::string>;

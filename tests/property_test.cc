@@ -604,14 +604,35 @@ void LsmDifferential(LsmFilterType filter, uint64_t seed, size_t n_ops) {
           ASSERT_EQ(*got, it->first)
               << "seed " << seed << " op " << i << " Seek(" << k << ")";
         }
+        // Bounded Scan: scan_len rows from k, keys and values in order.
+        std::vector<std::pair<std::string, std::string>> rows, want_rows;
+        if (op.scan_len > 0) {
+          tree.Scan(k, [&](std::string_view sk, std::string_view sv) {
+            rows.emplace_back(sk, sv);
+            return rows.size() < op.scan_len;
+          });
+        }
+        for (auto oit = it;
+             oit != oracle.end() && want_rows.size() < op.scan_len; ++oit)
+          want_rows.emplace_back(*oit);
+        ASSERT_EQ(rows, want_rows) << "seed " << seed << " op " << i
+                                   << " Scan(" << k << ", " << op.scan_len
+                                   << ")";
+        const std::string& hk =
+            keys[(op.key_index + op.scan_len) % keys.size()];
+        std::string lo = k, hi = hk;
+        if (hi < lo) std::swap(lo, hi);
+        auto lo_it = oracle.lower_bound(lo);
+        std::optional<std::string> want_first;
+        if (lo_it != oracle.end() && lo_it->first <= hi)
+          want_first = lo_it->first;
+        ASSERT_EQ(tree.ClosedSeek(lo, hi), want_first)
+            << "seed " << seed << " op " << i << " ClosedSeek(" << lo << ", "
+            << hi << ")";
         if (exact_count) {
-          const std::string& hk =
-              keys[(op.key_index + op.scan_len) % keys.size()];
-          std::string lo = k, hi = hk;
-          if (hi < lo) std::swap(lo, hi);
           uint64_t want = 0;
-          for (auto oit = oracle.lower_bound(lo);
-               oit != oracle.end() && oit->first <= hi; ++oit)
+          for (auto oit = lo_it; oit != oracle.end() && oit->first <= hi;
+               ++oit)
             ++want;
           ASSERT_EQ(tree.Count(lo, hi), want)
               << "seed " << seed << " op " << i << " Count(" << lo << ", "
@@ -643,6 +664,11 @@ TEST(PropertyLsm, NoFilter) {
 TEST(PropertyLsm, BloomFilter) {
   for (uint64_t seed : Seeds())
     LsmDifferential(LsmFilterType::kBloom, seed, OpsPerStructure() / 4);
+}
+
+TEST(PropertyLsm, SurfHashFilter) {
+  for (uint64_t seed : Seeds())
+    LsmDifferential(LsmFilterType::kSurfHash, seed, OpsPerStructure() / 4);
 }
 
 TEST(PropertyLsm, SurfRealFilter) {

@@ -247,7 +247,12 @@ DiffResult LsmTarget(const std::vector<std::string>& keys,
   opt.block_bytes = 1024;
   opt.sstable_target_bytes = 64 << 10;
   opt.level1_bytes = 256 << 10;
-  opt.filter = LsmFilterType::kBloom;
+  // Consecutive seeds rotate through every filter, so --seeds=4 covers the
+  // unopened-source bounds of both SuRF variants.
+  constexpr LsmFilterType kFilters[] = {
+      LsmFilterType::kNone, LsmFilterType::kBloom, LsmFilterType::kSurfHash,
+      LsmFilterType::kSurfReal};
+  opt.filter = kFilters[seed % 4];
   opt.block_cache_blocks = 4;  // far fewer slots than blocks: reads evict
   LsmTree tree(opt);
   std::map<std::string, std::string> oracle;
@@ -288,9 +293,21 @@ DiffResult LsmTarget(const std::vector<std::string>& keys,
         }
         for (; it != oracle.end() && want_rows.size() < op.scan_len; ++it)
           want_rows.emplace_back(*it);
-        if (rows != want_rows)
+        if (rows != want_rows) {
           fail(i, "Scan(" + k + ", " + std::to_string(op.scan_len) +
                       ") diverges");
+          break;
+        }
+        // Closed seek over [k, hk], either side of k.
+        std::string lo = k;
+        std::string hi = keys[(op.key_index + op.scan_len) % keys.size()];
+        if (hi < lo) std::swap(lo, hi);
+        auto lo_it = oracle.lower_bound(lo);
+        std::optional<std::string> want_first;
+        if (lo_it != oracle.end() && lo_it->first <= hi)
+          want_first = lo_it->first;
+        if (tree.ClosedSeek(lo, hi) != want_first)
+          fail(i, "ClosedSeek(" + lo + ", " + hi + ") diverges");
         break;
       }
       default: {  // kErase has no engine equivalent; probe instead
