@@ -30,7 +30,6 @@
 #include "common/timer.h"
 #include "fst/fst.h"
 #include "keys/keygen.h"
-#include "obs/obs.h"
 #include "prof/perf_counters.h"
 #include "surf/surf.h"
 
@@ -225,25 +224,6 @@ void RunIntTreeDataset(const std::vector<uint64_t>& ints, size_t ops) {
       });
 }
 
-/// Pipeline-occupancy counters from the FST kernel (populated only in
-/// builds with -DMET_OBS_DEBUG_COUNTERS=1; silent otherwise).
-void MaybePrintOccupancy() {
-  auto& reg = obs::MetricsRegistry::Global();
-  uint64_t rounds = reg.GetCounter("fst.batch.rounds")->Value();
-  if (rounds == 0) return;
-  uint64_t slots = reg.GetCounter("fst.batch.round_slots")->Value();
-  uint64_t probes = reg.GetCounter("fst.batch.probes")->Value();
-  double occupancy = static_cast<double>(slots) / (rounds * 16.0);
-  std::printf("  fst.batch occupancy: %.1f%% (%llu probes, %llu rounds)\n",
-              occupancy * 100.0, static_cast<unsigned long long>(probes),
-              static_cast<unsigned long long>(rounds));
-  bench::Row({{"structure", "FST"},
-              {"metric", "occupancy"},
-              {"value", occupancy},
-              {"probes", probes},
-              {"rounds", rounds}});
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -293,7 +273,6 @@ int main(int argc, char** argv) {
     SortUnique(&emails);
     RunStringDataset("email", emails, ops);
   }
-  MaybePrintOccupancy();
   bench::Note("group prefetching overlaps the DRAM misses of ~16 in-flight descents; wins scale with tree depth x miss cost, so FST/SuRF gain most and the scalar-fallback trees stay flat");
   return 0;
 }

@@ -40,9 +40,6 @@ class Arf {
   /// (the bit-sequence encoding of the original paper).
   size_t EncodedBits() const;
 
-  size_t NumNodes() const { return num_nodes_; }
-  size_t NumLeaves() const { return num_leaves_; }
-
   /// Peak build-time node memory (the paper's 26 GB pain point, scaled).
   size_t BuildMemoryBytes() const { return peak_nodes_ * sizeof(Node); }
 

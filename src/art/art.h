@@ -71,7 +71,6 @@ class Art {
     size_ = 0;
   }
 
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const;
 
   /// Per-node-layout attribution; TotalBytes() == MemoryBytes() (same walk).

@@ -45,7 +45,6 @@ class CompactArt {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t MemoryBytes() const { return allocated_bytes_; }
-  size_t MemoryUse() const { return MemoryBytes(); }
 
   /// Component attribution; node_bytes_/leaf_bytes_ are accumulated at the
   /// same allocation sites as allocated_bytes_, so TotalBytes() ==

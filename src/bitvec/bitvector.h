@@ -81,12 +81,6 @@ class BitVector {
     }
   }
 
-  /// Number of zero bits starting at `pos` before the next set bit
-  /// (capped at size()).
-  size_t DistanceToNextSetBit(size_t pos) const {
-    return NextSetBit(pos + 1) - pos;
-  }
-
   size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
 
   /// Serialization hooks (rank/select supports are rebuilt after load).

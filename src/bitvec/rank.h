@@ -19,7 +19,6 @@
 #include "bitvec/bitvector.h"
 #include "common/bits.h"
 #include "common/prefetch.h"
-#include "obs/metrics.h"
 
 namespace met {
 
@@ -51,7 +50,6 @@ class RankSupport {
 
   /// Number of set bits in [0, pos] (pos inclusive).
   size_t Rank1(size_t pos) const {
-    MET_OBS_DEBUG_COUNT("bitvec.rank.calls");
     size_t block = pos / block_bits_;
     size_t n = lut_[block];
     size_t word_begin = block * (block_bits_ / 64);
@@ -125,7 +123,6 @@ class PoppyRank {
   }
 
   size_t Rank1(size_t pos) const {
-    MET_OBS_DEBUG_COUNT("bitvec.rank_poppy.calls");
     size_t s = pos / kSuperBits;
     size_t j = (pos % kSuperBits) / kSubBits;
     size_t n = super_[s] + sub_[s * kSubPerSuper + j];

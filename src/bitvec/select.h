@@ -13,7 +13,6 @@
 #include "bitvec/bitvector.h"
 #include "common/bits.h"
 #include "common/prefetch.h"
-#include "obs/metrics.h"
 
 namespace met {
 
@@ -49,7 +48,6 @@ class SelectSupport {
   /// Position of the `rank`-th set bit (rank >= 1). Precondition: the vector
   /// contains at least `rank` set bits.
   size_t Select1(size_t rank) const {
-    MET_OBS_DEBUG_COUNT("bitvec.select.calls");
     size_t sample_idx = rank / sample_rate_;
     size_t pos = 0;
     size_t remaining = rank;

@@ -11,7 +11,6 @@
 #include "common/assert.h"
 #include "common/hash.h"
 #include "common/prefetch.h"
-#include "obs/metrics.h"
 #include "prof/memory_breakdown.h"
 
 namespace met {
@@ -48,7 +47,6 @@ class BloomFilter {
   }
 
   bool MayContainHash(uint64_t h) const {
-    MET_OBS_DEBUG_COUNT("bloom.probe.calls");
     uint64_t delta = (h >> 17) | (h << 47);
     for (int i = 0; i < num_probes_; ++i) {
       size_t bit = h % num_bits_;
@@ -137,7 +135,6 @@ class BloomFilter {
   /// wrappers; larger n is chunked here too).
   void MayContainHashBatch(const uint64_t* hashes, size_t n,
                            bool* out) const {
-    MET_OBS_DEBUG_ADD("bloom.batch.probes", n);
     constexpr size_t kGroup = 32;
     uint64_t h[kGroup];
     uint64_t delta[kGroup];
@@ -166,7 +163,6 @@ class BloomFilter {
   }
 
   size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
-  size_t MemoryUse() const { return MemoryBytes(); }
 
   /// Single-component attribution; TotalBytes() == MemoryBytes().
   MemoryBreakdown Breakdown() const {

@@ -162,7 +162,6 @@ class BTree {
   }
 
   /// Total memory (nodes + string heap), computed by walking the tree.
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t bytes = 0;
     WalkMemory(root_, &bytes);

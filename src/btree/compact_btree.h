@@ -58,7 +58,6 @@ class FlatStore {
   size_t size() const { return keys_.size(); }
   KeyView KeyAt(size_t i) const { return keys_[i]; }
   const Value& ValueAt(size_t i) const { return values_[i]; }
-  Value& MutableValueAt(size_t i) { return values_[i]; }
 
   void Append(const Key& k, const Value& v) {
     keys_.push_back(k);
@@ -123,7 +122,6 @@ class BlobStore {
   }
 
   const Value& ValueAt(size_t i) const { return values_[i]; }
-  Value& MutableValueAt(size_t i) { return values_[i]; }
 
   void Append(std::string_view k, const Value& v) {
     blob_.append(k);
@@ -232,15 +230,6 @@ class CompactBTree {
     return true;
   }
 
-  /// Overwrites the value of an existing key in place (used by hybrid
-  /// secondary indexes). Returns false if absent.
-  bool UpdateInPlace(const Key& key, const Value& value) {
-    size_t idx = LowerBoundIndex(key);
-    if (idx >= store_.size() || !(KeyEquals(store_.KeyAt(idx), key))) return false;
-    store_.MutableValueAt(idx) = value;
-    return true;
-  }
-
   /// Index of the first entry with key >= `key` (== size() if none).
   /// Descends the implicit separator levels top-down: at each level the
   /// candidate separators for the current search range are contiguous, so a
@@ -322,7 +311,6 @@ class CompactBTree {
   size_t size() const { return store_.size(); }
   bool empty() const { return store_.size() == 0; }
 
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t bytes = store_.MemoryBytes();
     for (const auto& level : levels_) bytes += level.capacity() * sizeof(uint32_t);

@@ -146,7 +146,6 @@ class CompressedBTree {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t bytes = 0;
     for (const auto& p : pages_) bytes += p.blob.capacity();

@@ -83,7 +83,6 @@ class PrefixBTree {
 
   size_t size() const { return size_; }
 
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t bytes = 0;
     for (const auto& p : pages_) {

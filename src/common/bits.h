@@ -17,9 +17,6 @@ inline int PopCount(uint64_t x) { return __builtin_popcountll(x); }
 /// Index (0 = LSB) of the lowest set bit. Undefined for x == 0.
 inline int CountTrailingZeros(uint64_t x) { return __builtin_ctzll(x); }
 
-/// Index of the highest set bit. Undefined for x == 0.
-inline int CountLeadingZeros(uint64_t x) { return __builtin_clzll(x); }
-
 /// Position (0 = LSB) of the r-th (0-based) set bit of `x`.
 /// Precondition: PopCount(x) > r.
 inline int SelectInWord(uint64_t x, int r) {

@@ -7,7 +7,7 @@
 //   Insert    — unique insert (false on duplicate)
 //   Erase     — point delete
 //   Scan      — ordered scan of up to n values from lower_bound(key)
-//   MemoryUse — total structure footprint in bytes (alias of MemoryBytes)
+//   MemoryBytes — total structure footprint in bytes
 //
 // Key convention: string-keyed structures (ART, Masstree, HOT, FST, SuRF,
 // the prefix B+tree) take std::string_view; the generic template trees
@@ -48,7 +48,7 @@ template <typename T, typename K, typename V = uint64_t>
 concept ReadOnlyPointIndex =
     requires(const T& t, const K& k, V* vp) {
       { t.Lookup(k, vp) } -> std::convertible_to<bool>;
-      { t.MemoryUse() } -> std::convertible_to<size_t>;
+      { t.MemoryBytes() } -> std::convertible_to<size_t>;
       { t.size() } -> std::convertible_to<size_t>;
     };
 
@@ -75,12 +75,12 @@ concept RangeIndex =
 template <typename T, typename K = std::string_view>
 concept Filter = requires(const T& t, const K& k) {
   { t.MayContain(k) } -> std::convertible_to<bool>;
-  { t.MemoryUse() } -> std::convertible_to<size_t>;
+  { t.MemoryBytes() } -> std::convertible_to<size_t>;
 };
 
 /// Component-level memory attribution: Breakdown() returns a MemoryBreakdown
-/// tree whose TotalBytes() equals MemoryUse()/MemoryBytes() exactly — both
-/// are computed from the same primitives, and tests/prof_test.cc holds every
+/// tree whose TotalBytes() equals MemoryBytes() exactly — both are
+/// computed from the same primitives, and tests/prof_test.cc holds every
 /// structure to the equality. Cold-path only (walks the structure).
 template <typename T>
 concept HasMemoryBreakdown = requires(const T& t) {

@@ -108,11 +108,6 @@ class CondVar {
     native.release();
   }
 
-  void NotifyOne() {
-    if (race::UnderScheduler()) return;  // waiters poll via the yield loop
-    cv_.notify_one();
-  }
-
   void NotifyAll() {
     if (race::UnderScheduler()) return;
     cv_.notify_all();
@@ -168,43 +163,6 @@ class Atomic {
 
  private:
   std::atomic<T> a_;
-};
-
-/// Single-writer counter readable from other threads without tearing (or
-/// TSan reports): every access is a relaxed atomic load or store — no RMW,
-/// so the owner thread's increment compiles to a plain load+1+store. For
-/// lazily-published per-instance stats (LsmStats) that a registry collector
-/// reads from dump threads while the owner keeps counting.
-class RelaxedCounter {
- public:
-  constexpr RelaxedCounter(uint64_t v = 0) noexcept  // NOLINT(runtime/explicit)
-      : v_(v) {}
-  RelaxedCounter(const RelaxedCounter& o) noexcept : v_(o.value()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) noexcept {
-    set(o.value());
-    return *this;
-  }
-  RelaxedCounter& operator=(uint64_t v) noexcept {
-    set(v);
-    return *this;
-  }
-  RelaxedCounter& operator++() noexcept {
-    set(value() + 1);
-    return *this;
-  }
-  RelaxedCounter& operator+=(uint64_t n) noexcept {
-    set(value() + n);
-    return *this;
-  }
-  operator uint64_t() const noexcept { return value(); }  // NOLINT
-
- private:
-  uint64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-  void set(uint64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
-
-  std::atomic<uint64_t> v_;
 };
 
 }  // namespace met::sync

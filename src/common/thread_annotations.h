@@ -18,9 +18,9 @@
 //                  its lock/unlock methods, MET_SCOPED_CAPABILITY on RAII
 //                  guards (see common/sync.h for the annotated primitives).
 //   - Escapes:     MET_NO_THREAD_SAFETY_ANALYSIS only on functions whose
-//                  safety argument is external to the lock discipline
-//                  (quiescent-only validators); each use carries a comment
-//                  saying why.
+//                  safety argument the analysis cannot express (a static
+//                  helper whose callers hold the lock); each use carries a
+//                  comment saying why.
 //
 // Protocols that hand data between threads through sync::Atomic flags (the
 // hybrid index's drain handoff) are checked dynamically by the met::race

@@ -4,7 +4,6 @@
 
 #include "common/assert.h"
 #include "fst/fst_step.h"
-#include "obs/metrics.h"
 
 namespace met {
 
@@ -314,7 +313,6 @@ Fst::PathResult Fst::LookupPath(std::string_view key) const {
 }
 
 bool Fst::Lookup(std::string_view key, uint64_t* value) const {
-  MET_OBS_DEBUG_COUNT("fst.find.calls");
   PathResult res = LookupPath(key);
   if (!res.found) return false;
   // In full-key mode a terminal at depth d means the stored key has exactly
@@ -464,7 +462,6 @@ Fst::Iterator Fst::Begin() const {
 }
 
 Fst::Iterator Fst::LowerBound(std::string_view key, bool* fp_flag) const {
-  MET_OBS_DEBUG_COUNT("fst.lower_bound.calls");
   if (fp_flag != nullptr) *fp_flag = false;
   Iterator it;
   it.fst_ = this;

@@ -174,7 +174,6 @@ class Fst {
   /// Total encoded size (dense bitmaps and their rank LUTs, sparse blocks,
   /// dense-to-sparse child pointers, values).
   size_t MemoryBytes() const;
-  size_t MemoryUse() const { return MemoryBytes(); }
 
   /// Appends a self-contained binary image of the trie to `*out`: the dense
   /// bitmaps, the sparse labels, S-HasChild and S-LOUDS as flat sequences,

@@ -19,7 +19,6 @@
 
 #include "fst/fst.h"
 #include "fst/fst_step.h"
-#include "obs/metrics.h"
 
 namespace met {
 
@@ -46,10 +45,8 @@ void Fst::LookupPathBatch(const std::string_view* keys, size_t n,
     }
     size_t active = g;
     while (active > 0) {
-      size_t stepped = 0;
       for (size_t i = 0; i < g; ++i) {
         if (!live[i]) continue;
-        ++stepped;
         if (Step(keys[base + i], &cursors[i], &out[base + i])) {
           PrefetchStep(keys[base + i], cursors[i]);
         } else {
@@ -57,11 +54,7 @@ void Fst::LookupPathBatch(const std::string_view* keys, size_t n,
           --active;
         }
       }
-      // Occupancy: round_slots / (rounds * 16) = average pipeline fill.
-      MET_OBS_DEBUG_COUNT("fst.batch.rounds");
-      MET_OBS_DEBUG_ADD("fst.batch.round_slots", stepped);
     }
-    MET_OBS_DEBUG_ADD("fst.batch.probes", g);
   }
 
 #if MET_CHECK_ENABLED
@@ -77,7 +70,6 @@ void Fst::LookupPathBatch(const std::string_view* keys, size_t n,
 
 void Fst::LookupBatch(const std::string_view* keys, size_t n,
                       LookupResult* out) const {
-  MET_OBS_DEBUG_ADD("fst.batch.lookups", n);
   constexpr size_t kChunk = 64;
   PathResult paths[kChunk];
   const bool full_key = config_.mode == FstConfig::Mode::kFullKey;

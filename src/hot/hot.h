@@ -50,7 +50,6 @@ class Hot {
 
   size_t size() const { return size_; }
   size_t MemoryBytes() const { return allocated_bytes_; }
-  size_t MemoryUse() const { return MemoryBytes(); }
   /// Maximum number of HOT nodes on a root-to-leaf path.
   size_t Height() const;
 

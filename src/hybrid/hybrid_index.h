@@ -278,7 +278,6 @@ class HybridIndex {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t bytes = dynamic_->MemoryBytes() + static_->MemoryBytes();
     if (frozen_ != nullptr) bytes += frozen_->MemoryBytes();

@@ -196,8 +196,6 @@ LsmTree::LsmTree(const LsmOptions& options) : options_(options) {
   cache_index_.assign(index_size, kNoSlot);
   for (size_t i = cache_.size(); i-- > 0;)
     cache_free_.push_back(static_cast<uint32_t>(i));
-  obs_collector_ =
-      obs::MetricsRegistry::Global().AddCollector([this] { SyncObsCounters(); });
   if (options_.durable) {
     io::Status s = Recover();
     if (!s.ok()) last_io_error_ = s;
@@ -207,8 +205,6 @@ LsmTree::LsmTree(const LsmOptions& options) : options_(options) {
 }
 
 LsmTree::~LsmTree() {
-  obs::MetricsRegistry::Global().RemoveCollector(obs_collector_);
-  SyncObsCounters();
   if (crashed_) return;  // leave the directory exactly as the "kill" did
   if (options_.durable) {
     // Clean close: ack everything in the WAL; the directory stays behind
@@ -256,33 +252,6 @@ void LsmTree::CloseAndRemoveFile(SsTable& t) {
   (void)env_->Remove(t.path);  // orphan files are swept at next recovery
 }
 
-void LsmTree::SyncObsCounters() {
-  const LsmObsMetrics& m = LsmObsMetrics::Get();
-  sync::MutexLock lock(obs_mu_);
-  m.block_reads->Add(stats_.block_reads - obs_synced_.block_reads);
-  m.block_cache_hits->Add(stats_.block_cache_hits -
-                          obs_synced_.block_cache_hits);
-  m.filter_probes->Add(stats_.filter_probes - obs_synced_.filter_probes);
-  m.filter_negatives->Add(stats_.filter_negatives -
-                          obs_synced_.filter_negatives);
-  m.wal_appends->Add(stats_.wal_appends - obs_synced_.wal_appends);
-  m.wal_syncs->Add(stats_.wal_syncs - obs_synced_.wal_syncs);
-  m.block_corruptions->Add(stats_.block_corruptions -
-                           obs_synced_.block_corruptions);
-  obs_synced_.block_reads = stats_.block_reads;
-  obs_synced_.block_cache_hits = stats_.block_cache_hits;
-  obs_synced_.filter_probes = stats_.filter_probes;
-  obs_synced_.filter_negatives = stats_.filter_negatives;
-  obs_synced_.wal_appends = stats_.wal_appends;
-  obs_synced_.wal_syncs = stats_.wal_syncs;
-  obs_synced_.block_corruptions = stats_.block_corruptions;
-  m.bloom_true_positives->Add(outcomes_.bloom_tp - outcomes_synced_.bloom_tp);
-  m.bloom_false_positives->Add(outcomes_.bloom_fp - outcomes_synced_.bloom_fp);
-  m.surf_true_positives->Add(outcomes_.surf_tp - outcomes_synced_.surf_tp);
-  m.surf_false_positives->Add(outcomes_.surf_fp - outcomes_synced_.surf_fp);
-  outcomes_synced_ = outcomes_;
-}
-
 void LsmTree::ApplyToMemtable(std::string_view key, std::string_view value) {
   auto it = memtable_.find(key);
   if (it != memtable_.end()) {
@@ -305,7 +274,7 @@ io::Status LsmTree::Put(std::string_view key, std::string_view value) {
       last_io_error_ = s;
       return s;  // not applied: the record never fully reached the log
     }
-    ++stats_.wal_appends;
+    CountEvent(&stats_.wal_appends, obs_.wal_appends);
   }
   ApplyToMemtable(key, value);
   // From here on the write is applied; background failures (group sync,
@@ -329,7 +298,7 @@ io::Status LsmTree::SyncWal() {
   if (wal_ == nullptr) return io::Status::IoError("wal unavailable");
   io::Status s = wal_->Sync();
   if (s.ok()) {
-    ++stats_.wal_syncs;
+    CountEvent(&stats_.wal_syncs, obs_.wal_syncs);
   } else {
     last_io_error_ = s;
   }
@@ -420,7 +389,10 @@ class LsmTree::RunCursor final : public Cursor {
   }
   ~RunCursor() override {
     // A SuRF bound that was never opened saved that table's block read.
-    if (surf_bound_) ++tree_->stats_.filter_negatives;
+    if (surf_bound_) {
+      CountEvent(&tree_->stats_.filter_negatives,
+                 tree_->obs_.filter_negatives);
+    }
   }
   void Open() override {
     if (valid_ && !exact_) Load();
@@ -454,7 +426,7 @@ class LsmTree::RunCursor final : public Cursor {
       exact_ = false;
       key_ = lk_;
       if (t.surf == nullptr) return;
-      ++tree_->stats_.filter_probes;
+      CountEvent(&tree_->stats_.filter_probes, tree_->obs_.filter_probes);
       Surf::SeekResult r = t.surf->MoveToNext(lk_);
       if (r.found) {
         // A prefix of the table's next key. A prefix of lk itself
@@ -466,7 +438,8 @@ class LsmTree::RunCursor final : public Cursor {
         surf_bound_ = true;
         return;
       }
-      ++tree_->stats_.filter_negatives;
+      CountEvent(&tree_->stats_.filter_negatives,
+                 tree_->obs_.filter_negatives);
     }
     Park();
   }
@@ -732,8 +705,7 @@ class LsmTree::TableBuilder {
 
 io::Status LsmTree::FlushMemTable() {
   if (memtable_.empty()) return io::Status::OK();
-  const LsmObsMetrics& m = LsmObsMetrics::Get();
-  obs::ScopedTimer span(m.flush_ns, "lsm.flush");
+  obs::ScopedTimer span(obs_.flush_ns, "lsm.flush");
   std::vector<std::unique_ptr<SsTable>> out;
   {
     TableBuilder builder(this, ~uint64_t{0});  // one L0 table per flush
@@ -779,8 +751,7 @@ io::Status LsmTree::FlushMemTable() {
 
   memtable_.clear();
   memtable_bytes_ = 0;
-  ++stats_.flushes;
-  m.flushes->Increment();
+  CountEvent(&stats_.flushes, obs_.flushes);
   return io::Status::OK();
 }
 
@@ -834,8 +805,7 @@ io::Status LsmTree::MaybeCompact() {
 
 io::Status LsmTree::CompactLevel0() {
   // Merge all L0 tables plus every overlapping L1 table into new L1 tables.
-  obs::ScopedTimer span(LsmObsMetrics::Get().compaction_ns,
-                        "lsm.compaction.l0");
+  obs::ScopedTimer span(obs_.compaction_ns, "lsm.compaction.l0");
   if (levels_.size() < 2) levels_.resize(2);
   std::string_view min_key = levels_[0].front()->min_key;
   std::string_view max_key = levels_[0].front()->max_key;
@@ -856,7 +826,7 @@ io::Status LsmTree::CompactLevel(size_t level) {
   // Move one table of `level` down, merging with overlapping tables. The
   // victim is chosen by a rotating cursor (as in RocksDB), so over time
   // every level spans the whole key range instead of partitioning it.
-  obs::ScopedTimer span(LsmObsMetrics::Get().compaction_ns, "lsm.compaction");
+  obs::ScopedTimer span(obs_.compaction_ns, "lsm.compaction");
   if (levels_.size() < level + 2) levels_.resize(level + 2);
   if (compact_cursor_.size() < levels_.size()) compact_cursor_.resize(levels_.size(), 0);
   size_t idx = compact_cursor_[level] % levels_[level].size();
@@ -872,7 +842,6 @@ io::Status LsmTree::CompactLevel(size_t level) {
 io::Status LsmTree::Compact(size_t level,
                             const std::vector<const SsTable*>& upper,
                             const std::vector<const SsTable*>& lower) {
-  const LsmObsMetrics& m = LsmObsMetrics::Get();
   std::vector<std::unique_ptr<SsTable>> tables;
   uint64_t entries = 0;
   {
@@ -908,9 +877,8 @@ io::Status LsmTree::Compact(size_t level,
   for (auto& t : tables) next.push_back(std::move(t));
   std::sort(next.begin(), next.end(),
             [](const auto& a, const auto& b) { return a->min_key < b->min_key; });
-  ++stats_.compactions;
-  m.compactions->Increment();
-  m.compaction_entries->Record(entries);
+  CountEvent(&stats_.compactions, obs_.compactions);
+  obs_.compaction_entries->Record(entries);
 
   // Publish, then drop the inputs. If the manifest write fails the input
   // files stay on disk: the stale manifest still names a complete,
@@ -938,7 +906,7 @@ io::Status LsmTree::WriteManifest() {
   for (size_t l = 0; l < levels_.size(); ++l)
     for (const auto& t : levels_[l]) data.levels[l].push_back(t->id);
   io::Status s = LsmManifest::Write(*env_, options_.dir, ++manifest_gen_, data);
-  if (s.ok()) LsmObsMetrics::Get().manifest_writes->Increment();
+  if (s.ok()) obs_.manifest_writes->Increment();
   return s;
 }
 
@@ -1025,7 +993,6 @@ io::Status LsmTree::OpenTable(uint64_t id, std::unique_ptr<SsTable>* out) {
 }
 
 io::Status LsmTree::Recover() {
-  const LsmObsMetrics& m = LsmObsMetrics::Get();
   io::Status s = env_->MkDir(options_.dir);
   if (!s.ok()) return s;
 
@@ -1062,7 +1029,7 @@ io::Status LsmTree::Recover() {
       } else {
         // Serve what remains (degraded): newer versions of these keys may
         // exist in other tables; readers fall through as with quarantines.
-        m.recovery_bad_tables->Increment();
+        obs_.recovery_bad_tables->Increment();
         obs::TraceEvent("lsm.recovery.bad_table");
         last_io_error_ = ts;
         live.insert(id);  // do not GC a file we failed to open
@@ -1093,7 +1060,7 @@ io::Status LsmTree::Recover() {
         orphan = true;
       }
       if (orphan && env_->Remove(options_.dir + "/" + e).ok()) {
-        m.recovery_orphans_removed->Increment();
+        obs_.recovery_orphans_removed->Increment();
       }
     }
   }
@@ -1110,9 +1077,9 @@ io::Status LsmTree::Recover() {
     last_io_error_ = s;  // degraded: acked writes in the log may be lost
     obs::TraceEvent("lsm.recovery.wal_unreadable");
   }
-  m.wal_replayed_records->Add(replayed);
+  obs_.wal_replayed_records->Add(replayed);
   if (torn) {
-    m.wal_torn_tails->Increment();
+    obs_.wal_torn_tails->Increment();
     obs::TraceEvent("lsm.recovery.wal_torn_tail");
   }
 
@@ -1137,7 +1104,7 @@ io::Status LsmTree::Recover() {
 // ---------------------------------------------------------------------------
 
 void LsmTree::Quarantine(const SsTable& t, size_t block_idx) {
-  ++stats_.block_corruptions;
+  CountEvent(&stats_.block_corruptions, obs_.block_corruptions);
   t.quarantined.insert(block_idx);
   obs::TraceEvent("lsm.block.quarantine");
 }
@@ -1279,10 +1246,10 @@ const LsmTree::RawBlock* LsmTree::GetBlock(const SsTable& t,
   uint32_t slot = CacheFind(t.id, block_idx);
   if (slot != kNoSlot) {
     cache_[slot].referenced = true;
-    ++stats_.block_cache_hits;  // published lazily by SyncObsCounters()
+    CountEvent(&stats_.block_cache_hits, obs_.block_cache_hits);
     return &cache_[slot].data;
   }
-  ++stats_.block_reads;
+  CountEvent(&stats_.block_reads, obs_.block_reads);
   slot = CacheVictim();
   CacheSlot& victim = cache_[slot];
   io::Status s;
@@ -1303,10 +1270,10 @@ const LsmTree::RawBlock* LsmTree::GetBlock(const SsTable& t,
 
 bool LsmTree::FilterMayContain(const SsTable& t, std::string_view key) {
   if (t.bloom == nullptr && t.surf == nullptr) return true;
-  ++stats_.filter_probes;  // published lazily by SyncObsCounters()
+  CountEvent(&stats_.filter_probes, obs_.filter_probes);
   bool may = t.bloom != nullptr ? t.bloom->MayContain(key)
                                 : t.surf->MayContain(key);
-  if (!may) ++stats_.filter_negatives;
+  if (!may) CountEvent(&stats_.filter_negatives, obs_.filter_negatives);
   return may;
 }
 
@@ -1320,9 +1287,9 @@ bool LsmTree::TableGet(const SsTable& t, std::string_view key,
     MET_DCHECK(*filter_hint == (t.bloom != nullptr ? t.bloom->MayContain(key)
                                                    : t.surf->MayContain(key)),
                "fan-out filter answer diverged from scalar");
-    ++stats_.filter_probes;
+    CountEvent(&stats_.filter_probes, obs_.filter_probes);
     if (!*filter_hint) {
-      ++stats_.filter_negatives;
+      CountEvent(&stats_.filter_negatives, obs_.filter_negatives);
       return false;
     }
   } else if (!FilterMayContain(t, key)) {
@@ -1334,12 +1301,13 @@ bool LsmTree::TableGet(const SsTable& t, std::string_view key,
   const bool found = i < b->count() && b->key(i) == key;
   if (filtered) {
     // Resolve the filter's positive answer against the block: present keys
-    // are true positives, absent ones false positives (live FPR). Published
-    // lazily by SyncObsCounters().
+    // are true positives, absent ones false positives (live FPR).
     if (t.bloom != nullptr)
-      ++(found ? outcomes_.bloom_tp : outcomes_.bloom_fp);
+      (found ? obs_.bloom_true_positives : obs_.bloom_false_positives)
+          ->Increment();
     else
-      ++(found ? outcomes_.surf_tp : outcomes_.surf_fp);
+      (found ? obs_.surf_true_positives : obs_.surf_false_positives)
+          ->Increment();
   }
   if (!found) return false;
   if (value != nullptr) value->assign(b->value(i));
@@ -1474,7 +1442,7 @@ uint64_t LsmTree::Count(std::string_view lk, std::string_view hk) {
   for (MergeCursor c = RangeCursor(lk, hk, &surf_tables); c.Valid(); c.Next())
     ++n;
   for (const SsTable* t : surf_tables) {
-    ++stats_.filter_probes;
+    CountEvent(&stats_.filter_probes, obs_.filter_probes);
     n += t->surf->Count(lk, hk);
   }
   return n;

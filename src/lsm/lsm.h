@@ -36,8 +36,6 @@
 #include "bloom/bloom.h"
 #include "check/fwd.h"
 #include "common/assert.h"
-#include "common/sync.h"
-#include "common/thread_annotations.h"
 #include "io/io.h"
 #include "io/status.h"
 #include "obs/obs.h"
@@ -83,35 +81,27 @@ struct LsmOptions {
   size_t max_open_files = 4096;
 };
 
-/// Per-instance statistics — a thin view kept for API compatibility (tests
-/// and benches reset/read these per tree). Process-wide aggregates,
-/// including filter true/false-positive counters for live FPR, live in the
-/// obs::MetricsRegistry under "lsm.*" (see LsmObsMetrics).
-/// Counter fields are sync::RelaxedCounter, not uint64_t: the owning thread
-/// is the only writer, but SyncObsCounters() reads them from whatever thread
-/// runs an obs dump (registry collector), so reads must not tear.
+/// Per-tree event counts, for the per-tree I/O figures (Figs 4.8/4.9) and
+/// tests, which reset and read them per tree. Owner thread only: every
+/// event is also counted, as it happens, in its process-wide LsmObsMetrics
+/// counter, which is what a dump from another thread reads.
 struct LsmStats {
-  sync::RelaxedCounter block_reads;       // disk block fetches (cache misses)
-  sync::RelaxedCounter block_cache_hits;
-  sync::RelaxedCounter filter_probes;
-  sync::RelaxedCounter filter_negatives;  // I/Os saved by a filter
-  sync::RelaxedCounter flushes;
-  sync::RelaxedCounter compactions;
-  sync::RelaxedCounter wal_appends;
-  sync::RelaxedCounter wal_syncs;
-  sync::RelaxedCounter block_corruptions;  // checksum failures => quarantined
+  uint64_t block_reads = 0;  // disk block fetches (cache misses)
+  uint64_t block_cache_hits = 0;
+  uint64_t filter_probes = 0;
+  uint64_t filter_negatives = 0;  // I/Os saved by a filter
+  uint64_t flushes = 0;
+  uint64_t compactions = 0;
+  uint64_t wal_appends = 0;
+  uint64_t wal_syncs = 0;
+  uint64_t block_corruptions = 0;  // checksum failures => quarantined
 };
 
-/// Process-wide LSM metrics, shared by every LsmTree. Filter probes with a
-/// positive answer are classified after the block search resolves them:
-/// key present => true positive, absent => false positive, giving a live
-/// false-positive rate fp / (tp + fp) per filter family.
-///
-/// The per-probe counters (block reads/hits, filter probes/negatives, WAL
-/// appends/syncs, corruptions) are not updated atomically on the hot path —
-/// each tree counts into its plain LsmStats and publishes the delta through
-/// a registry collector whenever a dump runs. Rare events (manifest writes,
-/// recovery actions) update their counters directly.
+/// Process-wide LSM metrics, shared by every LsmTree and updated where each
+/// event happens. Filter probes with a positive answer are classified after
+/// the block search resolves them: key present => true positive, absent =>
+/// false positive, giving a live false-positive rate fp / (tp + fp) per
+/// filter family.
 struct LsmObsMetrics {
   obs::Counter* block_reads;
   obs::Counter* block_cache_hits;
@@ -200,7 +190,6 @@ class LsmTree {
   /// Most recent I/O failure from background work (flush, compaction, group
   /// sync, recovery) — sticky until cleared.
   const io::Status& last_io_error() const { return last_io_error_; }
-  void ClearLastIoError() { last_io_error_ = io::Status::OK(); }
 
   bool durable() const { return options_.durable; }
 
@@ -215,7 +204,6 @@ class LsmTree {
   /// Total resident (in-memory) footprint: memtable, per-table metadata and
   /// fence indexes, filters, and the block cache. Excludes DiskBytes().
   size_t MemoryBytes() const;
-  size_t MemoryUse() const { return MemoryBytes(); }
 
   /// Component attribution: memtable, table_metadata, fence_indexes,
   /// filters, and block_cache (slots with their raw block bytes and entry
@@ -384,20 +372,12 @@ class LsmTree {
   std::vector<const BloomFilter*> probe_blooms_;
   std::vector<uint32_t> probe_bloom_slot_;
 
-  // Publishes stats_ / outcome deltas to the global registry. Runs on every
-  // obs dump via a registry collector — i.e. on arbitrary dump threads while
-  // the owner thread keeps counting — so the counters it reads are
-  // RelaxedCounters and the synced-watermark state is guarded by obs_mu_
-  // (two concurrent dumps must not double-publish a delta).
-  void SyncObsCounters() MET_EXCLUDES(obs_mu_);
-  struct FilterOutcomes {
-    sync::RelaxedCounter bloom_tp, bloom_fp, surf_tp, surf_fp;
-  };
-  FilterOutcomes outcomes_;
-  mutable sync::Mutex obs_mu_;
-  LsmStats obs_synced_ MET_GUARDED_BY(obs_mu_);  // already-published portion
-  FilterOutcomes outcomes_synced_ MET_GUARDED_BY(obs_mu_);
-  obs::MetricsRegistry::CollectorId obs_collector_ = 0;
+  // Counts one event in this tree's stats_ and in the process-wide counter.
+  static void CountEvent(uint64_t* stat, obs::Counter* counter) {
+    ++*stat;
+    counter->Increment();
+  }
+  const LsmObsMetrics& obs_ = LsmObsMetrics::Get();
 
   // Block cache (DESIGN.md, "Block cache"): CLOCK over slots holding
   // verified raw blocks, found through an open-addressing hash index on

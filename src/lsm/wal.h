@@ -14,10 +14,11 @@
 // unreachable at replay, so the log refuses them until the tree rotates to
 // a fresh WAL at the next flush.
 //
-// Threading: single-owner. LsmWal has no internal locking; LsmTree calls it
-// with the tree's external synchronization (one writer at a time — the
-// model-checked `model_check --workload=wal` group-commit harness mirrors
-// this contract with its own mutex).
+// Threading: single-owner, with no internal locking. Only the owning
+// LsmTree calls it, from the one thread that owns the tree (a served LSM's
+// shard thread). Group commit is that thread syncing once for many appends
+// (every wal_group_sync_bytes, or per served batch through
+// LsmTree::SyncWal()), not concurrent appenders.
 #ifndef MET_LSM_WAL_H_
 #define MET_LSM_WAL_H_
 

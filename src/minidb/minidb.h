@@ -53,7 +53,6 @@ class TableIndex {
   bool Remove(uint64_t key);
   size_t Scan(uint64_t key, size_t n, std::vector<uint64_t>* out) const;
   size_t MemoryBytes() const;
-  size_t MemoryUse() const { return MemoryBytes(); }
 
   /// Batched point lookups through the unified met::LookupBatch entry point
   /// (scalar fallback for these tree kinds; native kernels dispatch

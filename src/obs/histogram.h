@@ -4,10 +4,6 @@
 // relative quantile error is bounded by 2^-kSubBits (6.25% with 4 sub-bits)
 // while Record() stays a handful of bit operations plus one relaxed
 // fetch_add. Thread-safe; Record never allocates.
-//
-// Compiling with -DMET_OBS_DISABLED swaps in an inline no-op stub with the
-// same API (in a differently named inline namespace, so mixed-TU links stay
-// ODR-clean) that the optimizer deletes entirely.
 #ifndef MET_OBS_HISTOGRAM_H_
 #define MET_OBS_HISTOGRAM_H_
 
@@ -17,9 +13,6 @@
 #include <cstdint>
 
 namespace met::obs {
-
-#if !defined(MET_OBS_DISABLED)
-inline namespace obs_v1 {
 
 class Histogram {
  public:
@@ -142,42 +135,6 @@ class Histogram {
   std::atomic<uint64_t> min_;
   std::atomic<uint64_t> max_;
 };
-
-}  // inline namespace obs_v1
-
-#else  // MET_OBS_DISABLED
-
-inline namespace obs_noop {
-
-/// No-op stand-in: every member compiles to nothing.
-class Histogram {
- public:
-  static constexpr uint32_t kSubBits = 4;
-  static constexpr uint32_t kSubBuckets = 1u << kSubBits;
-  static constexpr uint32_t kNumBuckets = (64 - kSubBits) * kSubBuckets + kSubBuckets;
-
-  Histogram() = default;
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
-  void Record(uint64_t) {}
-  void RecordNanos(uint64_t) {}
-  uint64_t Count() const { return 0; }
-  uint64_t Sum() const { return 0; }
-  uint64_t Min() const { return 0; }
-  uint64_t Max() const { return 0; }
-  double Mean() const { return 0.0; }
-  uint64_t Quantile(double) const { return 0; }
-  void Merge(const Histogram&) {}
-  void Reset() {}
-  static uint32_t BucketIndex(uint64_t) { return 0; }
-  static uint64_t BucketLow(uint32_t) { return 0; }
-  static uint64_t BucketMid(uint32_t) { return 0; }
-};
-
-}  // inline namespace obs_noop
-
-#endif  // MET_OBS_DISABLED
 
 }  // namespace met::obs
 

@@ -4,9 +4,6 @@
 // it once (usually into a function-local static or a member) and then updates
 // it lock-free on the hot path; the registry mutex is only taken on
 // registration and dump.
-//
-// With -DMET_OBS_DISABLED every type collapses to an inline no-op stub (in a
-// distinct inline namespace, keeping mixed-TU links ODR-clean).
 #ifndef MET_OBS_METRICS_H_
 #define MET_OBS_METRICS_H_
 
@@ -24,9 +21,6 @@
 #include "obs/histogram.h"
 
 namespace met::obs {
-
-#if !defined(MET_OBS_DISABLED)
-inline namespace obs_v1 {
 
 class Counter {
  public:
@@ -80,11 +74,12 @@ class MetricsRegistry {
     return Find(histograms_, name);
   }
 
-  /// Collectors let instrumented objects keep hot-path counts in plain
-  /// (non-atomic, per-instance) fields and publish them to the registry only
-  /// when a reader asks: every registered callback runs at the start of each
-  /// DumpText/DumpJson/Collect. The callback may call Get*/Find* and
-  /// Counter::Add freely (the registry mutex is not held while it runs).
+  /// Collectors refresh sampled values (the process memory gauges,
+  /// prof/mem_stats.cc) when a reader asks: every registered callback runs
+  /// at the start of each DumpText/DumpJson/Collect. Events are counted
+  /// where they happen, never published through a collector. The callback
+  /// may call Get*/Find* and Gauge::Set freely (the registry mutex is not
+  /// held while it runs).
   using CollectorId = uint64_t;
 
   CollectorId AddCollector(std::function<void()> fn) {
@@ -251,92 +246,6 @@ class MetricsRegistry {
   std::vector<std::pair<CollectorId, std::function<void()>>> collectors_
       MET_GUARDED_BY(collector_mu_);
 };
-
-}  // inline namespace obs_v1
-
-#else  // MET_OBS_DISABLED
-
-inline namespace obs_noop {
-
-class Counter {
- public:
-  void Increment() {}
-  void Add(uint64_t) {}
-  uint64_t Value() const { return 0; }
-  void Reset() {}
-};
-
-class Gauge {
- public:
-  void Set(int64_t) {}
-  void Add(int64_t) {}
-  void Sub(int64_t) {}
-  int64_t Value() const { return 0; }
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global() {
-    static MetricsRegistry r;
-    return r;
-  }
-
-  Counter* GetCounter(std::string_view) { return &counter_; }
-  Gauge* GetGauge(std::string_view) { return &gauge_; }
-  Histogram* GetHistogram(std::string_view) { return &histogram_; }
-  Counter* FindCounter(std::string_view) const { return nullptr; }
-  Gauge* FindGauge(std::string_view) const { return nullptr; }
-  Histogram* FindHistogram(std::string_view) const { return nullptr; }
-  using CollectorId = uint64_t;
-  CollectorId AddCollector(std::function<void()>) { return 0; }
-  void RemoveCollector(CollectorId) {}
-  void Collect() const {}
-  void DumpText(FILE*) const {}
-  void DumpJson(std::string* out) const {
-    out->append("{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
-  }
-  void ResetAll() {}
-  static void AppendJsonEscaped(std::string* out, std::string_view s) {
-    out->append(s);
-  }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-}  // inline namespace obs_noop
-
-#endif  // MET_OBS_DISABLED
-
-/// Debug-level hot-path counters (FST / bit-vector rank-select / raw filter
-/// probes). Off by default — compile with -DMET_OBS_DEBUG_COUNTERS=1 to
-/// enable; otherwise the macro expands to nothing and costs zero cycles.
-#if defined(MET_OBS_DEBUG_COUNTERS) && !defined(MET_OBS_DISABLED)
-#define MET_OBS_DEBUG_COUNT(name)                                      \
-  do {                                                                 \
-    static ::met::obs::Counter* met_obs_c =                            \
-        ::met::obs::MetricsRegistry::Global().GetCounter(name);        \
-    met_obs_c->Increment();                                            \
-  } while (0)
-/// Like MET_OBS_DEBUG_COUNT but adds `n` (batch kernels record per-round
-/// slot occupancy this way: steps / (rounds * group) = average fill).
-#define MET_OBS_DEBUG_ADD(name, n)                                     \
-  do {                                                                 \
-    static ::met::obs::Counter* met_obs_c =                            \
-        ::met::obs::MetricsRegistry::Global().GetCounter(name);        \
-    met_obs_c->Add(n);                                                 \
-  } while (0)
-#else
-#define MET_OBS_DEBUG_COUNT(name) \
-  do {                            \
-  } while (0)
-#define MET_OBS_DEBUG_ADD(name, n) \
-  do {                             \
-    (void)(n);                     \
-  } while (0)
-#endif
 
 }  // namespace met::obs
 

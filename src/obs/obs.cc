@@ -4,10 +4,7 @@
 // and exit-dump installer even if no other compiled source includes obs.h.
 #include "obs/obs.h"
 
-#if !defined(MET_OBS_DISABLED)
-
 namespace met::obs {
-inline namespace obs_v1 {
 
 // Touch the singletons so their construction (and, under MET_METRICS, the
 // at-exit dump registration) cannot be dead-stripped from the static library.
@@ -16,7 +13,4 @@ void WarmUp() {
   (void)TraceLog::Global();         // ditto
 }
 
-}  // inline namespace obs_v1
 }  // namespace met::obs
-
-#endif  // MET_OBS_DISABLED

@@ -11,9 +11,6 @@
 // allocation, no locks on the hot path). Setting MET_METRICS=1 additionally
 // (a) dumps everything to stderr at process exit and (b) turns on per-op
 // latency recording in the bench harness (bench/bench_util.h).
-//
-// Compile-time kill switch: building with -DMET_OBS_DISABLED replaces every
-// type with an inline no-op stub, so all instrumentation optimizes away.
 #ifndef MET_OBS_OBS_H_
 #define MET_OBS_OBS_H_
 
@@ -25,9 +22,6 @@
 #include "obs/trace.h"
 
 namespace met::obs {
-
-#if !defined(MET_OBS_DISABLED)
-inline namespace obs_v1 {
 
 /// True when the MET_METRICS environment variable is set to a non-empty
 /// value other than "0". Cached after the first call.
@@ -71,23 +65,6 @@ struct ExitDumpInstaller {
 inline ExitDumpInstaller g_exit_dump_installer;
 
 }  // namespace internal
-
-}  // inline namespace obs_v1
-
-#else  // MET_OBS_DISABLED
-
-inline namespace obs_noop {
-
-inline bool MetricsEnabled() { return false; }
-inline void DumpAllText(FILE*) {}
-inline void WarmUp() {}
-inline void DumpAllJson(std::string* out) {
-  out->append("{\"metrics\":{\"counters\":{},\"gauges\":{},\"histograms\":{}},\"trace\":[]}");
-}
-
-}  // inline namespace obs_noop
-
-#endif  // MET_OBS_DISABLED
 
 }  // namespace met::obs
 

@@ -2,7 +2,7 @@
 // class, merge phase) cell, so benchmarks can report how much a merge
 // inflates read/write tail latency relative to the idle baseline
 // (bench/bench_merge_pause.cc). Thread-safe: Histogram recording is
-// lock-free, and under MET_OBS_DISABLED every cell is the no-op variant.
+// lock-free.
 #ifndef MET_OBS_STALL_H_
 #define MET_OBS_STALL_H_
 

@@ -21,9 +21,6 @@
 
 namespace met::obs {
 
-#if !defined(MET_OBS_DISABLED)
-inline namespace obs_v1 {
-
 /// Monotonic nanoseconds since an arbitrary epoch.
 inline uint64_t NowNanos() {
   return static_cast<uint64_t>(
@@ -163,54 +160,6 @@ class ScopedTimer {
 inline void TraceEvent(const char* name) {
   TraceLog::Global().Append(name, NowNanos(), 0);
 }
-
-}  // inline namespace obs_v1
-
-#else  // MET_OBS_DISABLED
-
-inline namespace obs_noop {
-
-inline uint64_t NowNanos() { return 0; }
-inline uint32_t CurrentThreadId() { return 0; }
-
-class TraceLog {
- public:
-  struct Span {
-    const char* name = nullptr;
-    uint64_t start_nanos = 0;
-    uint64_t duration_nanos = 0;
-    uint32_t tid = 0;
-  };
-
-  static constexpr size_t kDefaultCapacity = 0;
-
-  static TraceLog& Global() {
-    static TraceLog log(0);
-    return log;
-  }
-
-  explicit TraceLog(size_t) {}
-  void Append(const char*, uint64_t, uint64_t) {}
-  void SetCapacity(size_t) {}
-  std::vector<Span> Snapshot() const { return {}; }
-  uint64_t TotalSpans() const { return 0; }
-  void DumpText(FILE*) const {}
-  void DumpJson(std::string* out) const { out->append("[]"); }
-  void Reset() {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram*, const char* = nullptr) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
-
-inline void TraceEvent(const char*) {}
-
-}  // inline namespace obs_noop
-
-#endif  // MET_OBS_DISABLED
 
 }  // namespace met::obs
 

@@ -1,5 +1,5 @@
 // Global operator new/delete replacement feeding the met::prof process-heap
-// counters (tracking_alloc.h). Compiled to an empty TU unless
+// counters (heap_stats.h). Compiled to an empty TU unless
 // MET_PROF_HEAP_HOOK is defined — only the `met_heap_hook` OBJECT library
 // sets it, so binaries opt in by linking that target and everything else
 // keeps the default allocator path untouched.
@@ -19,7 +19,7 @@
 #define MET_PROF_USABLE_SIZE(p) 0
 #endif
 
-#include "prof/tracking_alloc.h"
+#include "prof/heap_stats.h"
 
 namespace {
 

@@ -1,7 +1,7 @@
-// Process-heap counter storage for met::prof (see tracking_alloc.h).
+// Process-heap counter storage for met::prof (see heap_stats.h).
 // Always part of libmet so readers link everywhere; the counters only move
 // when prof/heap_hook.cc (the met_heap_hook object library) is also linked.
-#include "prof/tracking_alloc.h"
+#include "prof/heap_stats.h"
 
 namespace met::prof {
 namespace internal {

@@ -8,7 +8,7 @@
 #endif
 
 #include "obs/obs.h"
-#include "prof/tracking_alloc.h"
+#include "prof/heap_stats.h"
 
 namespace met::prof {
 
@@ -32,7 +32,6 @@ ProcMemInfo ReadProcMem() {
 
 ProcMemInfo SampleMemGauges() {
   ProcMemInfo info = ReadProcMem();
-#if !defined(MET_OBS_DISABLED)
   auto& reg = obs::MetricsRegistry::Global();
   if (info.valid) {
     reg.GetGauge("met.mem.rss_bytes")->Set(static_cast<int64_t>(info.rss_bytes));
@@ -40,17 +39,14 @@ ProcMemInfo SampleMemGauges() {
   }
   if (HeapHookActive())
     reg.GetGauge("met.mem.heap_live_bytes")->Set(HeapLiveBytes());
-#endif
   return info;
 }
 
 void InstallMemCollector() {
-#if !defined(MET_OBS_DISABLED)
   static std::once_flag once;
   std::call_once(once, [] {
     obs::MetricsRegistry::Global().AddCollector([] { SampleMemGauges(); });
   });
-#endif
 }
 
 void SetLogicalIndexBytes(size_t bytes) {

@@ -8,10 +8,10 @@
 #ifndef MET_PROF_PROF_H_
 #define MET_PROF_PROF_H_
 
+#include "prof/heap_stats.h"        // IWYU pragma: export
 #include "prof/mem_stats.h"         // IWYU pragma: export
 #include "prof/memory_breakdown.h"  // IWYU pragma: export
 #include "prof/perf_counters.h"     // IWYU pragma: export
 #include "prof/trace_export.h"      // IWYU pragma: export
-#include "prof/tracking_alloc.h"    // IWYU pragma: export
 
 #endif  // MET_PROF_PROF_H_

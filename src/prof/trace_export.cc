@@ -62,7 +62,6 @@ const std::string& TraceOutPath() {
 }
 
 void InstallTraceExporter() {
-#if !defined(MET_OBS_DISABLED)
   static std::once_flag once;
   std::call_once(once, [] {
     if (TraceOutPath().empty()) return;
@@ -74,7 +73,6 @@ void InstallTraceExporter() {
     obs::TraceLog::Global().SetCapacity(cap);
     std::atexit([] { WriteChromeTrace(TraceOutPath()); });
   });
-#endif
 }
 
 }  // namespace met::prof

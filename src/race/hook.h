@@ -24,8 +24,10 @@ namespace internal {
 struct VThread;  // race/sched.cc
 
 // Non-null iff the current OS thread is a scheduler-controlled virtual
-// thread. Defined in race/sched.cc (linked into libmet).
-extern thread_local VThread* tls_vthread;
+// thread. Defined in race/sched.cc (linked into libmet). constinit tells
+// every including TU the variable needs no dynamic initialization, so it is
+// read directly rather than through a TLS init wrapper.
+extern constinit thread_local VThread* tls_vthread;
 
 // Pause at a scheduling decision; returns when the scheduler grants the next
 // step. `what` labels the yield point in traces (must be a string literal).

@@ -17,7 +17,7 @@ namespace met::race {
 
 namespace internal {
 
-thread_local VThread* tls_vthread = nullptr;
+constinit thread_local VThread* tls_vthread = nullptr;
 
 /// Thrown out of a yield point to unwind a virtual thread when the execution
 /// is being abandoned (failure elsewhere, livelock, deadlock).

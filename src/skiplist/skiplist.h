@@ -154,7 +154,6 @@ class SkipList {
     return cnt;
   }
 
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t bytes = 0;
     for (const Tower* t = head_; t != nullptr; t = t->next[0]) {

@@ -5,7 +5,6 @@
 
 #include "common/hash.h"
 #include "common/prefetch.h"
-#include "obs/metrics.h"
 
 namespace met {
 
@@ -111,7 +110,6 @@ uint64_t Surf::QueryRealSuffix(std::string_view key, uint32_t depth) const {
 }
 
 bool Surf::MayContain(std::string_view key) const {
-  MET_OBS_DEBUG_COUNT("surf.probe.calls");
   Fst::PathResult res = fst_.LookupPath(key);
   if (!res.found) return false;
   if (SuffixBitsTotal() == 0) return true;
@@ -120,7 +118,6 @@ bool Surf::MayContain(std::string_view key) const {
 
 void Surf::MayContainBatch(const std::string_view* keys, size_t n,
                            bool* out) const {
-  MET_OBS_DEBUG_ADD("surf.batch.probes", n);
   constexpr size_t kChunk = 64;
   Fst::PathResult paths[kChunk];
   const uint32_t bits = SuffixBitsTotal();
@@ -175,7 +172,6 @@ Surf::SeekResult Surf::MoveToNext(std::string_view key) const {
 
 bool Surf::MayContainRange(std::string_view low_key,
                            std::string_view high_key) const {
-  MET_OBS_DEBUG_COUNT("surf.range_probe.calls");
   if (high_key < low_key) return false;
   SeekResult s = MoveToNext(low_key);
   if (!s.found) return false;

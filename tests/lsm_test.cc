@@ -13,6 +13,7 @@
 #include "io/io.h"
 #include "keys/keygen.h"
 #include "lsm/lsm.h"
+#include "obs/obs.h"
 #include "gtest/gtest.h"
 
 namespace met {
@@ -478,6 +479,42 @@ TEST(LsmCacheTest, SlotBuffersStaySizedToTheirBlocks) {
   ASSERT_NE(b.Find("block_cache"), nullptr);
   EXPECT_LE(b.Find("block_cache")->TotalBytes(), bound) << b.ToString();
   EXPECT_EQ(b.TotalBytes(), lsm.MemoryBytes());
+}
+
+// ---------- Metrics ----------
+
+// ResetStats() clears only the tree's own view. The process-wide
+// lsm.block.reads counter never goes back, and grows by exactly the reads
+// the tree counts after the reset.
+TEST(LsmStatsTest, ResetStatsLeavesRegistryCountersMonotonic) {
+  LsmOptions opt = SmallOptions("reset_stats", LsmFilterType::kNone);
+  opt.block_cache_blocks = 4;
+  LsmTree lsm(opt);
+  auto keys = GenEmails(20000, 11);
+  for (const auto& k : keys) ASSERT_TRUE(lsm.Put(k, "v").ok());
+  ASSERT_TRUE(lsm.Finish().ok());
+
+  auto& reg = obs::MetricsRegistry::Global();
+  auto registry_reads = [&reg] {
+    reg.Collect();
+    return reg.GetCounter("lsm.block.reads")->Value();
+  };
+  Random rng(13);
+  auto lookups = [&](int n) {
+    for (int i = 0; i < n; ++i)
+      ASSERT_TRUE(lsm.Lookup(keys[rng.Uniform(keys.size())]));
+  };
+
+  lookups(5000);
+  const uint64_t before_reset = registry_reads();
+  ASSERT_GT(lsm.stats().block_reads, 100u);
+  lsm.ResetStats();
+  EXPECT_EQ(lsm.stats().block_reads, 0u);
+  lookups(10);
+  ASSERT_GT(lsm.stats().block_reads, 0u);
+  const uint64_t after_reset = registry_reads();
+  EXPECT_GE(after_reset, before_reset);
+  EXPECT_EQ(after_reset - before_reset, lsm.stats().block_reads);
 }
 
 // ---------- ARF ----------

@@ -314,7 +314,7 @@ TEST(ObsTrace, RingBufferKeepsMostRecentSpans) {
 TEST(ObsRegistry, CollectorsRunOnEveryDump) {
   auto& reg = obs::MetricsRegistry::Global();
   auto* c = reg.GetCounter("test.collector.synced");
-  uint64_t pending = 5;  // stand-in for a plain per-instance hot-path count
+  uint64_t pending = 5;  // stand-in for a value sampled at dump time
   auto id = reg.AddCollector([&] {
     c->Add(pending);
     pending = 0;

@@ -264,22 +264,8 @@ TEST(BreakdownMatchesTest, HybridIndexes) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracking allocator and process heap hook
+// Process heap hook
 // ---------------------------------------------------------------------------
-
-TEST(TrackingAllocatorTest, CountsContainerTraffic) {
-  prof::AllocStats stats;
-  {
-    prof::TrackingAllocator<uint64_t> alloc(&stats);
-    std::vector<uint64_t, prof::TrackingAllocator<uint64_t>> v(alloc);
-    v.reserve(1000);
-    EXPECT_EQ(stats.live_bytes.load(), 8000);
-    EXPECT_EQ(stats.allocs.load(), 1u);
-  }
-  EXPECT_EQ(stats.live_bytes.load(), 0);
-  EXPECT_EQ(stats.allocs.load(), stats.frees.load());
-  EXPECT_EQ(stats.peak_bytes.load(), 8000);
-}
 
 TEST(HeapHookTest, HookIsActiveInThisBinary) {
   EXPECT_TRUE(prof::HeapHookActive());

@@ -223,10 +223,11 @@ TEST(RaceRegression, MetricsRegistryFindDuringGet) {
   EXPECT_NE(reg.FindCounter("race.regression.c0"), nullptr);
 }
 
-// Gap #2: LsmTree::SyncObsCounters() runs on whatever thread triggers a
-// registry dump while the owning thread mutates stats_. The counter fields
-// are now tear-free RelaxedCounter and the synced watermarks are mutex'd,
-// so a dump storm concurrent with a write/read workload must be clean.
+// Gap #2: a registry dump runs on whatever thread asks for it while the
+// owning thread keeps writing and reading its LsmTree. The tree counts each
+// event into its process-wide atomic counter as it happens, and a dump reads
+// only those (never the owner-only LsmStats), so a dump storm concurrent
+// with a write/read workload must be clean.
 TEST(RaceRegression, LsmStatsDumpDuringWrites) {
   met::LsmOptions opts;
   opts.dir = ::testing::TempDir() + "race_lsm_dump";
@@ -238,7 +239,7 @@ TEST(RaceRegression, LsmStatsDumpDuringWrites) {
   std::thread dumper([&stop] {
     while (!stop.load(std::memory_order_relaxed)) {
       std::string out;
-      met::obs::MetricsRegistry::Global().DumpJson(&out);  // runs collectors
+      met::obs::MetricsRegistry::Global().DumpJson(&out);
       EXPECT_FALSE(out.empty());
     }
   });

@@ -11,15 +11,12 @@
 //           scheduled action. With --inject the drain flags itself done
 //           before storing its result; exploration must catch it and print
 //           the replayable trace.
-//   wal     Two writers appending to one LsmWal under a harness mutex plus
-//           a group-sync thread; afterwards the log is replayed and the
-//           record count checked against what the writers appended.
 //
 // Exit codes: 0 = explored clean, 2 = violation found (trace printed),
 // 1 = usage / setup error.
 //
 // Usage:
-//   model_check --workload=hybrid|wal [--bound=2] [--max-exec=200000]
+//   model_check --workload=hybrid [--bound=2] [--max-exec=200000]
 //               [--random=N --seed=S] [--replay=0,1,0,...] [--inject]
 
 #include <cinttypes>
@@ -27,17 +24,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "check/hybrid_handoff_model.h"
-#include "common/sync.h"
 #include "hybrid/hybrid.h"
-#include "io/io.h"
-#include "lsm/wal.h"
 #include "obs/obs.h"
 #include "race/sched.h"
 
@@ -89,84 +81,13 @@ bool ParseCli(int argc, char** argv, Cli* cli) {
   }
   if (cli->workload.empty()) {
     std::fprintf(stderr,
-                 "usage: model_check --workload=hybrid|wal "
+                 "usage: model_check --workload=hybrid "
                  "[--bound=N] [--max-exec=N] [--random=N --seed=S] "
                  "[--replay=trace] [--inject]\n");
     return false;
   }
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// wal: group commit under a harness mutex, replay-count oracle
-// ---------------------------------------------------------------------------
-
-struct WalWorkload {
-  std::string dir;
-  int execution = 0;
-
-  std::unique_ptr<met::LsmWal> wal;
-  std::unique_ptr<met::sync::Mutex> mu;
-  int appended = 0;  // guarded by *mu
-
-  std::vector<Scheduler::ThreadFn> MakeThreads() {
-    std::string path = dir + "/model_check_wal_" + std::to_string(execution++);
-    auto& env = met::io::Env::Posix();
-    (void)env.Remove(path);  // stale file from an aborted earlier run
-    wal = std::make_unique<met::LsmWal>(env, path);
-    met::io::Status s = wal->Open();
-    if (!s.ok()) throw met::race::FailureError{"wal open: " + s.ToString()};
-    mu = std::make_unique<met::sync::Mutex>();
-    appended = 0;
-
-    auto* w = wal.get();
-    auto* m = mu.get();
-    int* count = &appended;
-    auto writer = [w, m, count](const char* key) {
-      return [w, m, count, key] {
-        for (int i = 0; i < 2; ++i) {
-          met::sync::MutexLock l(*m);
-          std::string k = std::string(key) + std::to_string(i);
-          met::io::Status s = w->Append(k, "v");
-          if (!s.ok())
-            met::race::Fail("wal append failed: %s", s.ToString().c_str());
-          ++*count;
-        }
-      };
-    };
-    return {
-        writer("a"),
-        writer("b"),
-        // Group-sync thread: acks whatever has been appended so far.
-        [w, m] {
-          met::sync::MutexLock l(*m);
-          met::io::Status s = w->Sync();
-          if (!s.ok())
-            met::race::Fail("wal sync failed: %s", s.ToString().c_str());
-        },
-    };
-  }
-
-  void FinalCheck() {
-    met::io::Status s = wal->Sync();
-    if (!s.ok()) throw met::race::FailureError{"wal final sync failed"};
-    std::string path = wal->path();
-    s = wal->Close();
-    if (!s.ok()) throw met::race::FailureError{"wal close failed"};
-    uint64_t replayed = 0;
-    bool torn = false;
-    s = met::LsmWal::Replay(
-        met::io::Env::Posix(), path, [](std::string_view, std::string_view) {},
-        &replayed, &torn);
-    if (!s.ok()) throw met::race::FailureError{"wal replay failed"};
-    if (torn) throw met::race::FailureError{"wal replay saw a torn tail"};
-    if (replayed != static_cast<uint64_t>(appended))
-      throw met::race::FailureError{
-          "wal replay count " + std::to_string(replayed) + " != appended " +
-          std::to_string(appended)};
-    (void)met::io::Env::Posix().Remove(path);  // scratch file cleanup
-  }
-};
 
 // ---------------------------------------------------------------------------
 // driver
@@ -251,17 +172,6 @@ int main(int argc, char** argv) {
     }
     met::check::HybridHandoffModel w(cli.inject);
     return Drive(&w, cli, [&w] { w.StepCheck(); });
-  }
-  if (cli.workload == "wal") {
-    WalWorkload w;
-    const char* tmp = std::getenv("TMPDIR");
-    w.dir = tmp != nullptr ? tmp : "/tmp";
-    {
-      auto warm = w.MakeThreads();
-      for (auto& fn : warm) fn();
-      w.FinalCheck();
-    }
-    return Drive(&w, cli, nullptr);
   }
   std::fprintf(stderr, "unknown workload: %s\n", cli.workload.c_str());
   return 1;
