@@ -68,8 +68,8 @@ int main() {
     opt.surf_suffix_bits = 4;
     opt.block_cache_blocks = 2048;  // ~8 MB: dataset >> cache
     LsmTree lsm(opt);
-    for (const auto& k : w.keys) lsm.Put(k, w.value);
-    lsm.Finish();
+    for (const auto& k : w.keys) bench::CheckOk(lsm.Put(k, w.value), "Put");
+    bench::CheckOk(lsm.Finish(), "Finish");
 
     Random rng(3);
     uint64_t max_ts = KeyToUint64(w.keys.back());

@@ -51,8 +51,8 @@ int main() {
     opt.block_cache_blocks = 2048;
     LsmTree lsm(opt);
     for (auto& [ts, s] : ev)
-      lsm.Put(Uint64ToKey(ts) + Uint64ToKey(s), value);
-    lsm.Finish();
+      bench::CheckOk(lsm.Put(Uint64ToKey(ts) + Uint64ToKey(s), value), "Put");
+    bench::CheckOk(lsm.Finish(), "Finish");
 
     for (double pct_empty : {10, 50, 90, 99}) {
       uint64_t range =

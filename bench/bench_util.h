@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "io/status.h"
 #include "keys/keygen.h"
 #include "obs/obs.h"
 #include "prof/prof.h"  // arms MET_TRACE_OUT export for every bench binary
@@ -34,6 +35,14 @@ struct MemCollectorInstaller {
 };
 inline MemCollectorInstaller g_mem_collector_installer;
 }  // namespace internal
+
+/// Exits non-zero with the status message when `st` is not OK: a bench
+/// whose storage calls failed must not print figures.
+inline void CheckOk(const io::Status& st, const char* what) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, st.ToString().c_str());
+  std::exit(1);
+}
 
 /// Optimization sink: accumulate query results here so the compiler cannot
 /// eliminate inlined lookup loops as dead code.

@@ -56,7 +56,8 @@ void RunYcsbSuite(const char* index_name, const char* key_name,
       out.clear();
       index.Scan(keys[scans[i].key_index], scans[i].scan_length, &out);
     } else if (next_insert < keys.size()) {
-      index.Insert(keys[next_insert++], next_insert);
+      index.Insert(keys[next_insert], static_cast<uint64_t>(next_insert));
+      ++next_insert;
     }
   });
 

@@ -4,12 +4,24 @@
 // most disk reads.
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/random.h"
+#include "io/status.h"
 #include "keys/keygen.h"
 #include "lsm/lsm.h"
 
 using namespace met;
+
+namespace {
+
+void CheckOk(const io::Status& st, const char* what) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, st.ToString().c_str());
+  std::exit(1);
+}
+
+}  // namespace
 
 int main() {
   for (LsmFilterType filter : {LsmFilterType::kNone, LsmFilterType::kSurfReal}) {
@@ -26,9 +38,10 @@ int main() {
     for (int e = 0; e < 200000; ++e) {
       ts += static_cast<uint64_t>(-std::log(1 - rng.NextDouble()) * 4e6);
       uint64_t sensor = rng.Uniform(50);
-      db.Put(Uint64ToKey(ts) + Uint64ToKey(sensor), "reading=42");
+      CheckOk(db.Put(Uint64ToKey(ts) + Uint64ToKey(sensor), "reading=42"),
+              "Put");
     }
-    db.Finish();
+    CheckOk(db.Finish(), "Finish");
 
     db.ResetStats();
     size_t hits = 0, queries = 20000;

@@ -1,9 +1,10 @@
 // Blocking pipelined client for the met::serve wire protocol. One instance
 // drives one connection from one thread: Send* calls append encoded frames
 // to an output buffer and record the id -> opcode mapping (responses can
-// come back out of order — the server coalesces reads across connections —
-// so the opcode needed to decode a response is looked up by the echoed id),
-// Flush() pushes the buffered frames, Recv()/RecvFor() block for responses.
+// come back out of order — shards answer independently and write acks wait
+// for the group commit — so the opcode needed to decode a response is
+// looked up by the echoed id), Flush() pushes the buffered frames, and
+// Recv()/RecvFor() block for responses.
 // The load generator keeps a deep pipeline with Send*/Flush/Recv; tests use
 // the one-shot conveniences (Get/Put/...) that round-trip a single request.
 #ifndef MET_SERVE_CLIENT_H_

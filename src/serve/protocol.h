@@ -9,12 +9,13 @@
 // length word (tag + id + payload) and is bounded by kMaxFrameBytes, so a
 // garbage length can never commit the peer to an unbounded read. The
 // request_id is chosen by the client and echoed verbatim in the response:
-// requests on one connection may be answered out of order (the server
-// coalesces point reads across connections into batch groups), so the id —
+// requests on one connection may be answered out of order (requests to
+// different shards finish independently, and a write's ack waits for its
+// group commit while the reads queued behind it are answered), so the id —
 // not arrival order — is the correlation key. Per connection the server
 // still *executes* same-shard requests in arrival order, which is what
 // makes pipelined read-your-writes hold (PUT k, GET k without waiting for
-// the PUT ack sees the PUT).
+// the PUT ack sees the PUT; a GET k sent before the PUT does not).
 //
 // The request tag byte is versioned: the low 6 bits are the opcode, the
 // high 2 bits are feature flags that extend the fixed header. A v1 client
@@ -26,8 +27,8 @@
 //                          sheds the request with kDeadlineExceeded instead
 //                          of doing work whose answer nobody will read:
 //                          checked at admission (against the shard's
-//                          standing queue delay), at batch-coalesce time,
-//                          and before a write reaches durable group-commit.
+//                          standing queue delay), at dequeue, and before a
+//                          write reaches durable group-commit.
 //   0x40 kReqFlagIdem      u64 idempotency token follows (after the
 //                          deadline if both flags are set); kPut/kDelete
 //                          only. Retried writes that carry the same token

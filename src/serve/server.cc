@@ -33,9 +33,6 @@ const ServeObsMetrics& ServeObsMetrics::Get() {
     x.accepted = reg.GetCounter("met.serve.conns_accepted");
     x.closed = reg.GetCounter("met.serve.conns_closed");
     x.requests = reg.GetCounter("met.serve.requests");
-    x.shed = reg.GetCounter("met.serve.shed");
-    x.batches = reg.GetCounter("met.serve.read_batches");
-    x.batched_gets = reg.GetCounter("met.serve.batched_gets");
     x.proto_errors = reg.GetCounter("met.serve.proto_errors");
     x.queue_depth = reg.GetHistogram("met.serve.queue_depth");
     return x;
@@ -57,9 +54,6 @@ class MemoryEngine final : public ShardEngine {
 
   bool Get(uint64_t key, uint64_t* value) override {
     return index_.Lookup(key, value);
-  }
-  void GetBatch(const uint64_t* keys, size_t n, LookupResult* out) override {
-    met::LookupBatch(index_, keys, n, out);
   }
   bool Put(uint64_t key, uint64_t value) override {
     return index_.Insert(key, value);
@@ -101,15 +95,6 @@ class DurableEngine final : public ShardEngine {
     if (v.empty()) return false;
     if (value != nullptr) *value = GetU64(v.data());
     return true;
-  }
-
-  void GetBatch(const uint64_t* keys, size_t n, LookupResult* out) override {
-    // The LSM has no interleaved kernel; batched reads fall back to scalar.
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t v = 0;
-      out[i].found = Get(keys[i], &v);
-      out[i].value = v;
-    }
   }
 
   bool Put(uint64_t key, uint64_t value) override {
@@ -170,16 +155,13 @@ namespace {
 /// epoll user-data tag for the shard's eventfd (connections use slot|gen).
 constexpr uint64_t kEventFdTag = ~uint64_t{0};
 
-/// Most point reads one ShardEngine::GetBatch call serves.
-constexpr size_t kReadGroupWidth = 16;
-
 uint64_t ConnTag(uint32_t slot, uint32_t gen) {
   return (static_cast<uint64_t>(gen) << 32) | slot;
 }
 
 /// One routed unit of shard work. MULTIGET is decomposed into one item per
-/// key (op == kMultiGet, multi_index set) so its reads join the same
-/// cross-connection coalescing groups as plain GETs.
+/// key (op == kMultiGet, multi_index set), each executed by the key's
+/// shard like a plain GET.
 struct WorkItem {
   uint32_t owner = 0;  // shard thread owning the connection
   uint32_t slot = 0;
@@ -274,9 +256,6 @@ struct Shard {
   // ---- owner-thread scratch, reused across iterations ----
   std::vector<std::vector<WorkItem>> route_scratch;      // per target shard
   std::vector<std::vector<Completion>> out_completions;  // per owner shard
-  std::vector<uint64_t> batch_keys;
-  std::vector<WorkItem> batch_items;
-  std::vector<LookupResult> batch_results;
   std::vector<PendingAck> write_acks;
   std::vector<uint64_t> scan_scratch;
 };
@@ -454,7 +433,6 @@ struct Server::Impl {
   /// requests only — a v1 client's decoder expects empty non-OK payloads.
   void RespondShed(Shard* s, uint32_t slot, Response* err, bool v2,
                    uint32_t retry_after_ms, uint32_t request_cost) {
-    metrics.shed->Increment();
     gmetrics.shed->Increment();
     gmetrics.shed_cost->Add(request_cost);
     err->status = RespStatus::kShed;
@@ -628,53 +606,44 @@ struct Server::Impl {
     EmitCompletion(s, item.owner, std::move(c));
   }
 
-  void FlushReadGroup(Shard* s, size_t n) {
-    if (n == 0) return;
-    if (n == 1) {
-      uint64_t v = 0;
-      s->batch_results[0].found = s->engine->Get(s->batch_keys[0], &v);
-      s->batch_results[0].value = v;
-    } else {
-      s->engine->GetBatch(s->batch_keys.data(), n, s->batch_results.data());
-      metrics.batches->Increment();
-      metrics.batched_gets->Add(n);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const WorkItem& item = s->batch_items[i];
-      const LookupResult& r = s->batch_results[i];
-      if (item.op == OpCode::kMultiGet) {
-        Completion c;
-        c.slot = item.slot;
-        c.gen = item.gen;
-        c.multi_part = true;
-        c.id = item.id;
-        c.multi_index = item.multi_index;
-        c.found = r.found;
-        c.value = r.value;
-        EmitCompletion(s, item.owner, std::move(c));
-      } else {
-        Response resp;
-        resp.status = r.found ? RespStatus::kOk : RespStatus::kNotFound;
-        resp.op = OpCode::kGet;
-        resp.id = item.id;
-        resp.value = r.value;
-        EmitFrame(s, item, resp);
-      }
-    }
+  /// A MULTIGET sub-read's assembly part, to be filled by the caller.
+  static Completion MultiPart(const WorkItem& item) {
+    Completion c;
+    c.slot = item.slot;
+    c.gen = item.gen;
+    c.multi_part = true;
+    c.id = item.id;
+    c.multi_index = item.multi_index;
+    return c;
   }
 
-  /// Answers an expired queued read with kDeadlineExceeded: a plain frame
-  /// for GET/SCAN, a flagged assembly part for a MULTIGET sub-read.
+  /// Serves one point read where it is dequeued: a response frame for a
+  /// GET, an assembly part for a MULTIGET sub-read.
+  void ExecuteRead(Shard* s, const WorkItem& item) {
+    uint64_t value = 0;
+    const bool found = s->engine->Get(item.key, &value);
+    if (item.op == OpCode::kMultiGet) {
+      Completion c = MultiPart(item);
+      c.found = found;
+      c.value = value;
+      EmitCompletion(s, item.owner, std::move(c));
+      return;
+    }
+    Response resp;
+    resp.status = found ? RespStatus::kOk : RespStatus::kNotFound;
+    resp.op = OpCode::kGet;
+    resp.id = item.id;
+    resp.value = value;
+    EmitFrame(s, item, resp);
+  }
+
+  /// Answers an expired queued request with kDeadlineExceeded: a plain
+  /// frame, or a flagged assembly part for a MULTIGET sub-read.
   void ExpireItem(Shard* s, const WorkItem& item) {
     gmetrics.deadline_exec->Increment();
     if (item.op == OpCode::kMultiGet) {
-      Completion c;
-      c.slot = item.slot;
-      c.gen = item.gen;
-      c.multi_part = true;
+      Completion c = MultiPart(item);
       c.deadline = true;
-      c.id = item.id;
-      c.multi_index = item.multi_index;
       EmitCompletion(s, item.owner, std::move(c));
       return;
     }
@@ -688,7 +657,6 @@ struct Server::Impl {
   void ExecuteChunk(Shard* s) {
     const size_t chunk = s->run_queue.size();
     metrics.queue_depth->Record(chunk);
-    size_t nb = 0;
     bool dirty = false;
     s->write_acks.clear();
     for (size_t i = 0; i < chunk; ++i) {
@@ -701,35 +669,21 @@ struct Server::Impl {
           now_ns > item.enqueue_ns ? now_ns - item.enqueue_ns : 0;
       s->admission->OnDequeue(item.cost, delay_ns, now_ns);
       gmetrics.queue_delay_us->Record(delay_ns / 1000);
-      // Deadline check at batch-coalesce time: an expired read never joins
-      // a group, an expired write never reaches the engine or the group
-      // commit below.
-      const bool expired =
-          item.deadline_ns != 0 && now_ns > item.deadline_ns;
+      // Deadline check at dequeue: an expired request never reaches the
+      // engine, and an expired write never reaches the group commit below.
+      if (item.deadline_ns != 0 && now_ns > item.deadline_ns) {
+        ExpireItem(s, item);
+        continue;
+      }
+      // Every item runs here, in arrival order: a read queued before a
+      // write sees the old value, one queued after it the new one.
       switch (item.op) {
         case OpCode::kGet:
         case OpCode::kMultiGet:
-          if (expired) {
-            ExpireItem(s, item);
-            break;
-          }
-          s->batch_keys[nb] = item.key;
-          s->batch_items[nb] = item;
-          if (++nb == kReadGroupWidth) {
-            FlushReadGroup(s, nb);
-            nb = 0;
-          }
+          ExecuteRead(s, item);
           break;
         case OpCode::kPut:
         case OpCode::kDelete: {
-          // Reads queued before a write retire first: pipelined
-          // read-your-writes per connection.
-          FlushReadGroup(s, nb);
-          nb = 0;
-          if (expired) {
-            ExpireItem(s, item);
-            break;
-          }
           PendingAck ack;
           ack.item = item;
           if (const bool* prior = s->dedup->Find(item.idem);
@@ -750,12 +704,6 @@ struct Server::Impl {
           break;
         }
         case OpCode::kScan: {
-          FlushReadGroup(s, nb);
-          nb = 0;
-          if (expired) {
-            ExpireItem(s, item);
-            break;
-          }
           s->engine->Scan(item.key, item.scan_limit, &s->scan_scratch);
           Response resp;
           resp.status = RespStatus::kOk;
@@ -767,7 +715,6 @@ struct Server::Impl {
         }
       }
     }
-    FlushReadGroup(s, nb);
     gmetrics.overload_level->Set(s->admission->overload_level());
     gmetrics.queued_cost->Set(
         static_cast<int64_t>(s->admission->queued_cost()));
@@ -1062,9 +1009,6 @@ struct Server::Impl {
       MET_ASSERT(epoll_ctl(s->epoll_fd, EPOLL_CTL_ADD, s->event_fd, &ev) == 0);
       s->route_scratch.resize(n);
       s->out_completions.resize(n);
-      s->batch_keys.resize(kReadGroupWidth);
-      s->batch_items.resize(kReadGroupWidth);
-      s->batch_results.resize(kReadGroupWidth);
       shards.push_back(std::move(s));
     }
     for (auto& s : shards)

@@ -17,28 +17,25 @@
 //     is taken once per read burst, not once per request). Responses travel
 //     S -> O the same way and O serializes them onto the connection.
 //
-// Batch coalescing: each shard drains its admission queue in arrival order
-// and gathers consecutive point reads — across *all* connections — into
-// groups of up to 16 (kReadGroupWidth in server.cc), executed through one
-// ShardEngine::GetBatch call. Neither served engine has a native batch
-// kernel: the hybrid goes through met::LookupBatch's scalar fallback and
-// the LSM loops over Get, so a group saves per-read dispatch, not cache
-// misses. MULTIGET is decomposed into per-key reads that join the same
-// groups and is reassembled by the connection owner. Any write flushes the
-// pending read group first, so same-connection pipelined read-your-writes
-// holds.
+// Execution: each shard drains its admission queue in arrival order and
+// runs every request where it is dequeued — a GET is one ShardEngine::Get,
+// a write one Put or Delete. A read queued before a write therefore sees
+// the old value and one queued after it the new one, so same-connection
+// pipelined read-your-writes holds by construction. MULTIGET is decomposed
+// into one read per key, each run by the key's shard, and is reassembled
+// by the connection owner. Write acks wait for the chunk's group commit.
 //
 // Backpressure (met::guard): every shard owns a cost-aware
 // guard::AdmissionController. Requests are charged an estimated cost
 // (GET 1, PUT/DELETE 2, SCAN ~rows/16, MULTIGET keys); admission sheds —
-// kShed with a retry-after hint, counted in met.serve.shed and
-// met.guard.shed — when the shard's queued cost exceeds queue_capacity or
-// when a CoDel-style standing queue-delay target escalates the overload
-// level (higher levels refuse progressively cheaper request classes, so
-// scans shed before gets). Requests carrying a deadline are refused at
-// admission if the standing delay already exceeds their budget, dropped at
-// batch-coalesce time if it expired while queued, and never reach durable
-// group-commit dead (kDeadlineExceeded in all three cases). Tokened writes
+// kShed with a retry-after hint, counted in met.guard.shed — when the
+// shard's queued cost exceeds queue_capacity or when a CoDel-style
+// standing queue-delay target escalates the overload level (higher levels
+// refuse progressively cheaper request classes, so scans shed before
+// gets). Requests carrying a deadline are refused at admission if the
+// standing delay already exceeds their budget, dropped at dequeue if it
+// expired while queued, and never reach durable group-commit dead
+// (kDeadlineExceeded in all three cases). Tokened writes
 // are deduplicated per shard (guard::DedupWindow), making client retries
 // at-least-once safe. Connections whose write buffer backs up past a
 // high-water mark stop being read until it drains. Queue depth is
@@ -71,9 +68,6 @@ struct ServeObsMetrics {
   obs::Counter* accepted;      // met.serve.conns_accepted
   obs::Counter* closed;        // met.serve.conns_closed
   obs::Counter* requests;      // met.serve.requests
-  obs::Counter* shed;          // met.serve.shed (kShed by admission control)
-  obs::Counter* batches;       // met.serve.read_batches executed
-  obs::Counter* batched_gets;  // met.serve.batched_gets (reads via GetBatch)
   obs::Counter* proto_errors;  // met.serve.proto_errors (conns killed)
   obs::Histogram* queue_depth;  // met.serve.queue_depth at drain time
 
@@ -88,8 +82,17 @@ class ShardEngine {
   virtual ~ShardEngine() = default;
 
   virtual bool Get(uint64_t key, uint64_t* value) = 0;
-  /// Batched point reads; out[i] must equal Get(keys[i]).
-  virtual void GetBatch(const uint64_t* keys, size_t n, LookupResult* out) = 0;
+  /// Point reads one by one: out[i] equals Get(keys[i]). The server calls
+  /// Get per read; this loop stays so a batch of engine reads can be timed
+  /// as one unit (perfbench's replay reports it as
+  /// engine.batch_get_us_per_key).
+  void GetBatch(const uint64_t* keys, size_t n, LookupResult* out) {
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t value = 0;
+      out[i].found = Get(keys[i], &value);
+      out[i].value = value;
+    }
+  }
   /// Upsert. False means the write could not be applied (durable failure).
   virtual bool Put(uint64_t key, uint64_t value) = 0;
   virtual bool Delete(uint64_t key) = 0;

@@ -126,7 +126,9 @@ TEST_P(HopeSchemeTest, CompleteOnArbitraryBytes) {
   for (size_t i = 0; i < keys.size(); ++i) {
     std::string e = enc.Encode(keys[i]);
     EXPECT_FALSE(e.empty());
-    if (i > 0) EXPECT_LE(prev, e);
+    if (i > 0) {
+      EXPECT_LE(prev, e);
+    }
     prev = std::move(e);
   }
 }

@@ -43,8 +43,9 @@ TEST(HotTest, EmailDatasetExact) {
   for (int t = 0; t < 5000; ++t) {
     std::string q = keys[rng.Uniform(keys.size())];
     q.back() = static_cast<char>(q.back() ^ 1);
-    if (!std::binary_search(keys.begin(), keys.end(), q))
+    if (!std::binary_search(keys.begin(), keys.end(), q)) {
       EXPECT_FALSE(hot.Lookup(q)) << q;
+    }
   }
 }
 

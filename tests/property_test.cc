@@ -212,10 +212,14 @@ void NonUniqueDifferential(uint64_t seed) {
         bool found = index.Lookup(k, &v);
         auto it = ref.find(k);
         ASSERT_EQ(found, it != ref.end()) << "op " << i;
-        if (found) ASSERT_EQ(v, it->second) << "op " << i;
+        if (found) {
+          ASSERT_EQ(v, it->second) << "op " << i;
+        }
       }
     }
-    if (i % 4096 == 0) ASSERT_EQ(index.size(), ref.size()) << "op " << i;
+    if (i % 4096 == 0) {
+      ASSERT_EQ(index.size(), ref.size()) << "op " << i;
+    }
   }
   ASSERT_EQ(index.size(), ref.size());
 }
@@ -530,7 +534,9 @@ void BatchDifferential(uint64_t seed) {
       uint64_t v = 0;
       bool found = btree.Lookup(iprobes[i], &v);
       ASSERT_EQ(out[i].found, found) << "seed " << seed << " probe " << i;
-      if (found) ASSERT_EQ(out[i].value, v) << "seed " << seed << " probe " << i;
+      if (found) {
+        ASSERT_EQ(out[i].value, v) << "seed " << seed << " probe " << i;
+      }
     }
   }
 }

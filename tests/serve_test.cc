@@ -1,5 +1,5 @@
 // met::serve tests: wire-codec round trips and framing edge cases, then
-// in-process server integration — pipelined read-your-writes, cross-shard
+// in-process server integration — pipelined read/write ordering, cross-shard
 // MULTIGET, scans, admission-control shedding, graceful drain, and the
 // durability contract (kill -9 loses no acked PUT).
 #include <sys/wait.h>
@@ -11,8 +11,10 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "guard/net_fault.h"
 #include "io/io.h"
@@ -338,8 +340,9 @@ TEST(ServeIntegrationTest, PipelinedReadYourWrites) {
 
   // PUT then GET of the same key without waiting for the PUT ack: the
   // server executes same-connection requests in arrival order, so the GET
-  // must observe the PUT even though its response may arrive first (reads
-  // are coalesced ahead of the write group-commit).
+  // must observe the PUT even though its response may arrive first (a
+  // write's ack waits for its chunk's group commit; a read is answered as
+  // soon as it runs).
   std::vector<std::pair<uint32_t, uint64_t>> gets;
   for (uint64_t k = 100; k < 164; ++k) {
     c.SendPut(k, k * 3 + 1);
@@ -359,6 +362,86 @@ TEST(ServeIntegrationTest, PipelinedReadYourWrites) {
     EXPECT_EQ(RespStatus::kOk, r.status);
   }
 }
+
+// One connection pipelines reads and writes of one key without waiting for
+// any answer: each read must see exactly the writes queued before it — the
+// old value before the PUT, the new one after it, nothing after the
+// DELETE — although the write acks are held for the group commit and
+// arrive after the reads queued behind them.
+class ServeOrderingTest
+    : public ::testing::TestWithParam<std::tuple<bool, size_t>> {};
+
+TEST_P(ServeOrderingTest, PipelinedReadsSeeExactlyTheWritesBeforeThem) {
+  const auto [durable, shards] = GetParam();
+  const std::string dir =
+      "/tmp/met_serve_order_test_" + std::to_string(shards);
+  auto remove_dirs = [&] {
+    for (size_t i = 0; i < shards; ++i)
+      io::RemoveAllFiles(io::Env::Posix(),
+                         dir + "/shard-" + std::to_string(i));
+  };
+  serve::ServerOptions o = MemoryOpts(shards);
+  if (durable) {
+    remove_dirs();
+    o.durable = true;
+    o.dir = dir;
+  }
+  {
+    RunningServer s(std::move(o));
+    ASSERT_TRUE(s.ok());
+    serve::Client c;
+    ASSERT_TRUE(c.Connect("127.0.0.1", s.port()).ok());
+
+    constexpr uint64_t kKey = 7;
+    // The server partitions by MixHash64(key) % shards: with two shards,
+    // the MULTIGET's second key lives on the other one.
+    uint64_t other = kKey + 1;
+    while (shards > 1 && MixHash64(other) % shards == MixHash64(kKey) % shards)
+      ++other;
+    Response r;
+    ASSERT_TRUE(c.Put(kKey, 100, &r).ok());
+    ASSERT_EQ(RespStatus::kOk, r.status);
+    ASSERT_TRUE(c.Put(other, 300, &r).ok());
+    ASSERT_EQ(RespStatus::kOk, r.status);
+
+    const uint32_t get_old = c.SendGet(kKey);
+    const uint32_t put = c.SendPut(kKey, 200);
+    const uint32_t get_new = c.SendGet(kKey);
+    const uint32_t multi = c.SendMultiGet({kKey, other});
+    const uint32_t del = c.SendDelete(kKey);
+    const uint32_t get_gone = c.SendGet(kKey);
+    ASSERT_TRUE(c.Flush().ok());
+
+    ASSERT_TRUE(c.RecvFor(get_old, &r).ok());
+    ASSERT_EQ(RespStatus::kOk, r.status);
+    EXPECT_EQ(100u, r.value);
+    ASSERT_TRUE(c.RecvFor(put, &r).ok());
+    EXPECT_EQ(RespStatus::kOk, r.status);
+    ASSERT_TRUE(c.RecvFor(get_new, &r).ok());
+    ASSERT_EQ(RespStatus::kOk, r.status);
+    EXPECT_EQ(200u, r.value);
+    ASSERT_TRUE(c.RecvFor(multi, &r).ok());
+    ASSERT_EQ(RespStatus::kOk, r.status);
+    ASSERT_EQ(2u, r.multi.size());
+    EXPECT_TRUE(r.multi[0].found);
+    EXPECT_EQ(200u, r.multi[0].value);
+    EXPECT_TRUE(r.multi[1].found);
+    EXPECT_EQ(300u, r.multi[1].value);
+    ASSERT_TRUE(c.RecvFor(del, &r).ok());
+    EXPECT_EQ(RespStatus::kOk, r.status);
+    ASSERT_TRUE(c.RecvFor(get_gone, &r).ok());
+    EXPECT_EQ(RespStatus::kNotFound, r.status);
+  }
+  if (durable) remove_dirs();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesAndShards, ServeOrderingTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(size_t{1}, size_t{2})),
+    [](const ::testing::TestParamInfo<std::tuple<bool, size_t>>& info) {
+      return std::string(std::get<0>(info.param) ? "Durable" : "Memory") +
+             std::to_string(std::get<1>(info.param)) + "Shards";
+    });
 
 TEST(ServeIntegrationTest, MultiGetSpansShards) {
   RunningServer s(MemoryOpts(4));
@@ -452,10 +535,6 @@ class SlowEngine : public serve::ShardEngine {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     *value = 0;
     return false;
-  }
-  void GetBatch(const uint64_t*, size_t n, LookupResult* out) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    for (size_t i = 0; i < n; ++i) out[i] = LookupResult{};
   }
   bool Put(uint64_t, uint64_t) override { return true; }
   bool Delete(uint64_t) override { return true; }
@@ -691,8 +770,12 @@ TEST(ServeIntegrationTest, GracefulDrainUnderLoadWithNetFaults) {
     Response r;
     ASSERT_TRUE(c.Recv(&r).ok()) << "EOF before all admitted acks arrived";
     ASSERT_EQ(RespStatus::kOk, r.status);
-    if (r.op == OpCode::kMultiGet) ASSERT_EQ(keys.size(), r.multi.size());
-    if (r.op == OpCode::kScan) ASSERT_EQ(64u, r.scan_values.size());
+    if (r.op == OpCode::kMultiGet) {
+      ASSERT_EQ(keys.size(), r.multi.size());
+    }
+    if (r.op == OpCode::kScan) {
+      ASSERT_EQ(64u, r.scan_values.size());
+    }
     ++answered;
   }
   EXPECT_EQ(64u + 16u, answered);

@@ -100,16 +100,14 @@ int main(int argc, char** argv) {
   const auto& m = met::serve::ServeObsMetrics::Get();
   const auto& g = met::guard::GuardObsMetrics::Get();
   std::printf(
-      "met_server drained: requests=%llu shed=%llu read_batches=%llu "
-      "batched_gets=%llu conns_accepted=%llu proto_errors=%llu\n"
-      "  guard: shed_cost=%llu deadline_admission=%llu deadline_exec=%llu "
-      "dedup_hits=%llu net_faults=%llu\n",
+      "met_server drained: requests=%llu conns_accepted=%llu "
+      "proto_errors=%llu\n"
+      "  guard: shed=%llu shed_cost=%llu deadline_admission=%llu "
+      "deadline_exec=%llu dedup_hits=%llu net_faults=%llu\n",
       static_cast<unsigned long long>(m.requests->Value()),
-      static_cast<unsigned long long>(m.shed->Value()),
-      static_cast<unsigned long long>(m.batches->Value()),
-      static_cast<unsigned long long>(m.batched_gets->Value()),
       static_cast<unsigned long long>(m.accepted->Value()),
       static_cast<unsigned long long>(m.proto_errors->Value()),
+      static_cast<unsigned long long>(g.shed->Value()),
       static_cast<unsigned long long>(g.shed_cost->Value()),
       static_cast<unsigned long long>(g.deadline_admission->Value()),
       static_cast<unsigned long long>(g.deadline_exec->Value()),
@@ -119,7 +117,7 @@ int main(int argc, char** argv) {
   reporter.Section("serve server");
   reporter.Row(
       {{"requests", static_cast<size_t>(m.requests->Value())},
-       {"shed", static_cast<size_t>(m.shed->Value())},
+       {"shed", static_cast<size_t>(g.shed->Value())},
        {"shed_cost", static_cast<size_t>(g.shed_cost->Value())},
        {"deadline_admission",
         static_cast<size_t>(g.deadline_admission->Value())},
