@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "guard/clock.h"
 #include "guard/metrics.h"
 
 namespace met::guard {
@@ -175,7 +174,7 @@ uint64_t NetFaultInjector::RollStallNs() {
   if (!Roll(spec_.stall)) return 0;
   ++counts_.stall;
   GuardObsMetrics::Get().net_faults->Increment();
-  return spec_.stall_ms * kNanosPerMilli;
+  return spec_.stall_ms * 1000000;
 }
 
 size_t NetFaultInjector::ClampRead(size_t want) {

@@ -1,39 +1,38 @@
 // Resilient one-shot client for the met::serve wire protocol: a
-// serve::Client wrapped in the retry discipline a real application needs
+// serve::Client wrapped in the retry discipline an application needs
 // against a server that sheds load, a network that tears frames, and a
 // process that can be kill -9'd mid-request.
 //
 //   - Every attempt is bounded by a per-attempt receive timeout; an expired
-//     wait closes the connection (its pipeline state is unknowable) and
-//     retries on a fresh one.
-//   - Retries back off exponentially with a cap, and a kShed refusal's
-//     retry-after hint overrides the computed delay (the server knows its
-//     own standing queue better than the client's guess).
-//   - PUT/DELETE retries reuse one idempotency token per logical write, so
+//     wait closes the connection (its pipeline state is unknowable) and the
+//     next attempt starts on a fresh one.
+//   - Retries back off exponentially from 2 ms with a 200 ms cap, and a
+//     kShed refusal's retry-after hint overrides the computed delay (the
+//     server knows its own standing queue better than the client's guess).
+//   - PUT/DELETE attempts carry one idempotency token per logical write, so
 //     the server's dedup window collapses at-least-once delivery back to
-//     exactly-once application. A write is only ever *indeterminate* when
-//     every attempt died without a definitive answer (timeout / reset after
-//     the frame may have reached the server) — kShed and kDeadlineExceeded
-//     are definitive refusals (the server refuses before applying).
-//   - GETs can be hedged: if the primary connection has not answered within
-//     hedge_ms, the same read is issued on a second connection and the
-//     first answer wins. Reads are idempotent so this is always safe.
+//     exactly-once application. GETs carry no token.
 //
-// Single-threaded, like serve::Client. The chaos torture driver
-// (tools/chaos.cc) builds its oracle on the indeterminate/definitive
-// distinction above.
+// The contract the chaos oracle (tools/chaos.cc) builds on: an attempt is
+// *in doubt* when its frame was flushed and no answer came back — the
+// server may still apply it. A kShed or kDeadlineExceeded answer refuses
+// only its own attempt, so it settles the call only when no earlier attempt
+// is in doubt. An OK, kNotFound or kError answer always settles it (a retried
+// write's token makes the dedup window replay the first outcome). So an OK
+// return is a definitive answer; a non-OK return is *indeterminate*: the
+// write may or may not have been applied.
+//
+// Single-threaded, like serve::Client.
 #ifndef MET_GUARD_RESILIENT_CLIENT_H_
 #define MET_GUARD_RESILIENT_CLIENT_H_
 
-#include <poll.h>
-#include <time.h>
-
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 
-#include "guard/clock.h"
 #include "io/status.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -45,23 +44,9 @@ class ResilientClient {
   struct Options {
     std::string host = "127.0.0.1";
     uint16_t port = 0;
-    uint32_t timeout_ms = 250;      // per-attempt receive budget
-    uint32_t max_retries = 8;       // attempts = 1 + max_retries
-    uint32_t backoff_base_ms = 2;   // capped exponential: base << (n-1)
-    uint32_t backoff_cap_ms = 200;
-    uint32_t deadline_ms = 0;       // attached to every request; 0 = none
-    uint32_t hedge_ms = 0;          // hedge GETs after this wait; 0 = off
-    uint64_t idem_seed = 1;         // namespaces this client's idem tokens
-  };
-
-  struct Stats {
-    uint64_t timeouts = 0;            // per-attempt receive expiries
-    uint64_t retries = 0;             // attempts beyond the first
-    uint64_t reconnects = 0;          // connections re-established
-    uint64_t hedges = 0;              // hedged GETs issued
-    uint64_t hedge_wins = 0;          // hedge answered before the primary
-    uint64_t shed = 0;                // kShed refusals observed
-    uint64_t deadline_exceeded = 0;   // kDeadlineExceeded refusals observed
+    uint32_t timeout_ms = 250;  // per-attempt receive budget
+    uint32_t max_retries = 8;   // attempts = 1 + max_retries
+    uint64_t idem_seed = 1;     // namespaces this client's idem tokens
   };
 
   explicit ResilientClient(Options opts)
@@ -69,249 +54,92 @@ class ResilientClient {
         // Token 0 is reserved (means "no token"), so the stream starts at 1
         // within this client's seed-namespaced block.
         next_idem_((opts_.idem_seed << 40) | 1) {
-    primary_.SetRecvTimeout(opts_.timeout_ms);
-    primary_.set_deadline_ms(opts_.deadline_ms);
-    hedge_.SetRecvTimeout(opts_.timeout_ms);
-    hedge_.set_deadline_ms(opts_.deadline_ms);
+    conn_.SetRecvTimeout(opts_.timeout_ms);
   }
 
   ResilientClient(const ResilientClient&) = delete;
   ResilientClient& operator=(const ResilientClient&) = delete;
 
-  void Close() {
-    primary_.Close();
-    hedge_.Close();
-  }
-
-  const Stats& stats() const { return stats_; }
+  void Close() { conn_.Close(); }
 
   /// OK means *resp holds a definitive server answer (possibly kShed after
-  /// exhausting retries, or kDeadlineExceeded). Non-OK means every attempt
-  /// died without one.
+  /// exhausting retries). Non-OK means no attempt was answered definitively
+  /// and at least one may have reached the server, or none could be sent.
   io::Status Get(uint64_t key, serve::Response* resp) {
+    return Call(serve::OpCode::kGet, key, 0, 0, resp);
+  }
+
+  io::Status Put(uint64_t key, uint64_t value, serve::Response* resp) {
+    return Call(serve::OpCode::kPut, key, value, next_idem_++, resp);
+  }
+
+  io::Status Delete(uint64_t key, serve::Response* resp) {
+    return Call(serve::OpCode::kDelete, key, 0, next_idem_++, resp);
+  }
+
+ private:
+  static constexpr uint64_t kBackoffBaseMs = 2;
+  static constexpr uint64_t kBackoffCapMs = 200;
+
+  /// The one attempt loop: every attempt sends the same request (and, for a
+  /// write, the same token) on the current connection.
+  io::Status Call(serve::OpCode op, uint64_t key, uint64_t value,
+                  uint64_t token, serve::Response* resp) {
     io::Status last = io::Status::IoError("never attempted", 0);
-    bool saw_shed = false;
-    serve::Response shed_resp;
+    bool in_doubt = false;
+    bool refused = false;
+    serve::Response refusal;
+    uint32_t hint_ms = 0;  // the previous attempt's retry-after, if refused
     for (uint32_t attempt = 0; attempt <= opts_.max_retries; ++attempt) {
-      if (attempt > 0) {
-        ++stats_.retries;
-        Backoff(attempt);
+      if (attempt > 0) Backoff(attempt, hint_ms);
+      hint_ms = 0;
+      if (!conn_.connected()) {
+        last = conn_.Connect(opts_.host, opts_.port);
+        if (!last.ok()) continue;
       }
-      if (io::Status st = EnsureConnected(); !st.ok()) {
-        last = st;
+      uint32_t id = op == serve::OpCode::kGet ? conn_.SendGet(key)
+                    : op == serve::OpCode::kPut
+                        ? conn_.SendPut(key, value, token)
+                        : conn_.SendDelete(key, token);
+      // A failed flush left at most a torn frame, which the server cannot
+      // decode, so that attempt is not in doubt.
+      last = conn_.Flush();
+      if (last.ok()) {
+        last = conn_.RecvFor(id, resp);
+        in_doubt |= !last.ok();
+      }
+      if (!last.ok()) {
+        conn_.Close();
         continue;
       }
-      uint32_t id = primary_.SendGet(key);
-      if (io::Status st = primary_.Flush(); !st.ok()) {
-        last = FailAttempt(st);
-        continue;
-      }
-      io::Status st;
-      if (opts_.hedge_ms != 0 && opts_.hedge_ms < opts_.timeout_ms)
-        st = HedgedRecv(key, id, resp);
-      else
-        st = primary_.RecvFor(id, resp);
-      if (st.ok()) {
-        if (Definitive(*resp, &saw_shed, &shed_resp)) return io::Status::OK();
-        last = st;  // shed: retry after backoff (hint recorded)
-        continue;
-      }
-      last = FailAttempt(st);
+      if (resp->status != serve::RespStatus::kShed &&
+          resp->status != serve::RespStatus::kDeadlineExceeded)
+        return io::Status::OK();
+      refused = true;
+      refusal = *resp;
+      hint_ms = resp->retry_after_ms;
     }
-    if (saw_shed) {  // every retry refused: surface the refusal, not an error
-      *resp = shed_resp;
+    if (in_doubt)
+      return io::Status::IoError("indeterminate: an attempt went unanswered",
+                                 0);
+    if (refused) {  // every answered attempt was refused before apply
+      *resp = refusal;
       return io::Status::OK();
     }
     return last;
   }
 
-  io::Status Put(uint64_t key, uint64_t value, serve::Response* resp) {
-    return Write(serve::OpCode::kPut, key, value, resp);
-  }
-
-  io::Status Delete(uint64_t key, serve::Response* resp) {
-    return Write(serve::OpCode::kDelete, key, 0, resp);
-  }
-
- private:
-  /// Classifies a received response. Returns true when it is a final answer
-  /// for the caller; false means kShed (retryable — the hint and response
-  /// are recorded for the give-up path).
-  bool Definitive(const serve::Response& resp, bool* saw_shed,
-                  serve::Response* shed_resp) {
-    if (resp.status == serve::RespStatus::kShed) {
-      ++stats_.shed;
-      retry_after_ms_ = resp.retry_after_ms;
-      *saw_shed = true;
-      *shed_resp = resp;
-      return false;
-    }
-    if (resp.status == serve::RespStatus::kDeadlineExceeded)
-      ++stats_.deadline_exceeded;
-    return true;
-  }
-
-  io::Status Write(serve::OpCode op, uint64_t key, uint64_t value,
-                   serve::Response* resp) {
-    // One token for the logical write: every retry replays it, so the
-    // server applies at most once no matter how many frames arrive.
-    uint64_t token = next_idem_++;
-    io::Status last = io::Status::IoError("never attempted", 0);
-    bool saw_shed = false;
-    serve::Response shed_resp;
-    for (uint32_t attempt = 0; attempt <= opts_.max_retries; ++attempt) {
-      if (attempt > 0) {
-        ++stats_.retries;
-        Backoff(attempt);
-      }
-      if (io::Status st = EnsureConnected(); !st.ok()) {
-        last = st;
-        continue;
-      }
-      uint32_t id = op == serve::OpCode::kPut
-                        ? primary_.SendPut(key, value, token)
-                        : primary_.SendDelete(key, token);
-      if (io::Status st = primary_.Flush(); !st.ok()) {
-        last = FailAttempt(st);
-        continue;
-      }
-      io::Status st = primary_.RecvFor(id, resp);
-      if (st.ok()) {
-        if (Definitive(*resp, &saw_shed, &shed_resp)) return io::Status::OK();
-        last = st;
-        continue;
-      }
-      last = FailAttempt(st);
-    }
-    if (saw_shed) {
-      *resp = shed_resp;
-      return io::Status::OK();
-    }
-    return last;  // indeterminate: some attempt may have been applied
-  }
-
-  /// Books a failed attempt: counts a timeout if that is what it was, and
-  /// closes the connection either way — after a receive error the pipeline
-  /// state is unknowable, so the next attempt starts fresh.
-  io::Status FailAttempt(const io::Status& st) {
-    if (serve::Client::IsTimeout(st)) ++stats_.timeouts;
-    primary_.Close();
-    return st;
-  }
-
-  io::Status EnsureConnected() {
-    if (primary_.connected()) return io::Status::OK();
-    io::Status st = primary_.Connect(opts_.host, opts_.port);
-    if (st.ok()) {
-      if (ever_connected_) ++stats_.reconnects;
-      ever_connected_ = true;
-    }
-    return st;
-  }
-
-  void Backoff(uint32_t attempt) {
-    uint32_t shift = attempt > 1 ? attempt - 1 : 0;
-    uint64_t ms = static_cast<uint64_t>(opts_.backoff_base_ms) << shift;
-    ms = std::min<uint64_t>(ms, opts_.backoff_cap_ms);
-    if (retry_after_ms_ != 0) {
-      ms = retry_after_ms_;  // the server's hint beats the local guess
-      retry_after_ms_ = 0;
-    }
-    SleepMs(ms);
-  }
-
-  static void SleepMs(uint64_t ms) {
-    if (ms == 0) return;
-    timespec ts;
-    ts.tv_sec = static_cast<time_t>(ms / 1000);
-    ts.tv_nsec = static_cast<long>((ms % 1000) * 1000000);
-    while (nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-    }
-  }
-
-  /// Waits for GET `pid` on the primary; after hedge_ms with no answer,
-  /// issues the same read on the hedge connection and returns whichever
-  /// answers first. Gives up (EAGAIN IoError, IsTimeout-true) when the full
-  /// per-attempt budget expires with neither answering.
-  io::Status HedgedRecv(uint64_t key, uint32_t pid, serve::Response* resp) {
-    primary_.SetRecvTimeout(opts_.hedge_ms);
-    io::Status st = primary_.RecvFor(pid, resp);
-    primary_.SetRecvTimeout(opts_.timeout_ms);
-    if (st.ok() || !serve::Client::IsTimeout(st)) return st;
-
-    ++stats_.hedges;
-    if (!hedge_.connected()) {
-      if (!hedge_.Connect(opts_.host, opts_.port).ok()) {
-        // No second path: fall back to waiting out the primary.
-        return primary_.RecvFor(pid, resp);
-      }
-    }
-    uint32_t hid = hedge_.SendGet(key);
-    if (!hedge_.Flush().ok()) {
-      hedge_.Close();
-      return primary_.RecvFor(pid, resp);
-    }
-
-    uint64_t give_up =
-        MonotonicNanos() + uint64_t(opts_.timeout_ms) * kNanosPerMilli;
-    for (;;) {
-      // Drain anything already buffered on either connection. Answers for
-      // other ids (a stale hedge from a previous call) are dropped.
-      for (int which = 0; which < 2; ++which) {
-        serve::Client& c = which == 0 ? primary_ : hedge_;
-        uint32_t want = which == 0 ? pid : hid;
-        if (!c.connected()) continue;
-        bool have = true;
-        while (have) {
-          serve::Response r;
-          if (!c.TryRecv(&r, &have).ok()) {
-            c.Close();
-            break;
-          }
-          if (have && r.id == want) {
-            *resp = std::move(r);
-            if (which == 1) ++stats_.hedge_wins;
-            return io::Status::OK();
-          }
-        }
-      }
-      if (!primary_.connected() && !hedge_.connected())
-        return io::Status::IoError("hedged get: both connections died",
-                                   ECONNRESET);
-      uint64_t now = MonotonicNanos();
-      if (now >= give_up)
-        return io::Status::IoError("hedged get timed out", EAGAIN);
-      pollfd fds[2];
-      nfds_t n = 0;
-      for (serve::Client* c : {&primary_, &hedge_}) {
-        if (!c->connected()) continue;
-        fds[n].fd = c->fd();
-        fds[n].events = POLLIN;
-        fds[n].revents = 0;
-        ++n;
-      }
-      int wait_ms = static_cast<int>((give_up - now) / kNanosPerMilli) + 1;
-      int rc = poll(fds, n, wait_ms);
-      if (rc < 0 && errno != EINTR)
-        return io::Status::IoError("poll", errno);
-      if (rc <= 0) continue;
-      for (nfds_t i = 0; i < n; ++i) {
-        if (fds[i].revents == 0) continue;
-        serve::Client& c = fds[i].fd == primary_.fd() ? primary_ : hedge_;
-        // Poll said readable, so Fill returns without blocking; an error
-        // (reset, EOF) kills that connection and the loop handles it.
-        if (!c.Fill().ok()) c.Close();
-      }
-    }
+  void Backoff(uint32_t attempt, uint32_t hint_ms) {
+    uint64_t ms = hint_ms;  // the server's hint beats the local guess
+    if (ms == 0)
+      ms = std::min(kBackoffBaseMs << std::min(attempt - 1, 16u),
+                    kBackoffCapMs);
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
 
   Options opts_;
-  serve::Client primary_;
-  serve::Client hedge_;
-  Stats stats_;
+  serve::Client conn_;
   uint64_t next_idem_;
-  uint32_t retry_after_ms_ = 0;
-  bool ever_connected_ = false;
 };
 
 }  // namespace met::guard

@@ -5,8 +5,9 @@
 // for the group commit — so the opcode needed to decode a response is
 // looked up by the echoed id), Flush() pushes the buffered frames, and
 // Recv()/RecvFor() block for responses.
-// The load generator keeps a deep pipeline with Send*/Flush/Recv; tests use
-// the one-shot conveniences (Get/Put/...) that round-trip a single request.
+// The load generator keeps a deep pipeline with Send*/Flush and decodes
+// with Fill/TryRecv after polling the socket; tests use the one-shot
+// conveniences (Get/Put/...) that round-trip a single request.
 #ifndef MET_SERVE_CLIENT_H_
 #define MET_SERVE_CLIENT_H_
 
@@ -42,8 +43,8 @@ class Client {
 
   /// Caps every blocking receive (Recv/RecvFor/Fill) at `ms` milliseconds
   /// via SO_RCVTIMEO; an expired wait surfaces as an EAGAIN IoError — test
-  /// with IsTimeout(). 0 restores fully blocking reads. Survives
-  /// reconnects; may be called before or after Connect().
+  /// with IsTimeout(). 0 restores fully blocking reads. Kept across
+  /// Connect() calls; may be called before or after Connect().
   void SetRecvTimeout(uint32_t ms) {
     recv_timeout_ms_ = ms;
     if (fd_ >= 0) ApplyRecvTimeout();
@@ -76,7 +77,7 @@ class Client {
   bool connected() const { return fd_ >= 0; }
   size_t inflight() const { return inflight_.size(); }
   /// The underlying socket, for callers that poll() readability themselves
-  /// (the open-loop load generator) before calling Fill().
+  /// (the load generator) before calling Fill().
   int fd() const { return fd_; }
 
   // ---- pipelined interface ----

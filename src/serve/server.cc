@@ -16,11 +16,11 @@
 #include "common/sync.h"
 #include "common/timer.h"
 #include "guard/admission.h"
-#include "guard/clock.h"
 #include "guard/dedup.h"
 #include "guard/metrics.h"
 #include "hybrid/hybrid.h"
 #include "lsm/lsm.h"
+#include "obs/trace.h"
 #include "serve/net.h"
 #include "serve/protocol.h"
 
@@ -447,9 +447,8 @@ struct Server::Impl {
     err.op = req.op;
     const bool v2 = req.deadline_ms != 0 || req.idem != 0;
     const uint32_t request_cost = CostOf(req);
-    const uint64_t now_ns = guard::MonotonicNanos();
-    const uint64_t budget_ns =
-        uint64_t{req.deadline_ms} * guard::kNanosPerMilli;
+    const uint64_t now_ns = obs::NowNanos();
+    const uint64_t budget_ns = uint64_t{req.deadline_ms} * 1000000;
     WorkItem item;
     item.owner = static_cast<uint32_t>(s->id);
     item.slot = slot;
@@ -664,7 +663,7 @@ struct Server::Impl {
       s->run_queue.pop_front();
       // Dequeue accounting: release the item's cost and feed its queueing
       // delay to the CoDel state — expired items included, they queued too.
-      const uint64_t now_ns = guard::MonotonicNanos();
+      const uint64_t now_ns = obs::NowNanos();
       const uint64_t delay_ns =
           now_ns > item.enqueue_ns ? now_ns - item.enqueue_ns : 0;
       s->admission->OnDequeue(item.cost, delay_ns, now_ns);

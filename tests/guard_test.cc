@@ -1,14 +1,27 @@
 // met::guard tests: net-fault spec parsing + injector determinism, the
 // cost-aware CoDel admission controller (levels, cost caps, retry-after),
-// the idempotency dedup window, and the EBR stall watchdog gauge.
+// the idempotency dedup window, and the resilient client's retry loop and
+// definitive/indeterminate contract against a scripted server.
+#include <poll.h>
+
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "guard/admission.h"
 #include "guard/dedup.h"
 #include "guard/metrics.h"
 #include "guard/net_fault.h"
+#include "guard/resilient_client.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
+#include "serve/net.h"
+#include "serve/protocol.h"
+#include "serve/server.h"
 
 namespace met {
 namespace {
@@ -18,6 +31,9 @@ using guard::AdmissionOptions;
 using guard::DedupWindow;
 using guard::NetFaultInjector;
 using guard::NetFaultSpec;
+using guard::ResilientClient;
+using serve::RespStatus;
+using serve::Response;
 
 // ---- net-fault spec -----------------------------------------------------
 
@@ -223,6 +239,212 @@ TEST(DedupWindowTest, TokenZeroAndZeroCapacityAreInert) {
   DedupWindow off(0);
   off.Insert(7, true);
   EXPECT_EQ(nullptr, off.Find(7));
+}
+
+// ---- resilient client ---------------------------------------------------
+
+/// A stand-in for met_server that plays a script: it decodes every request
+/// on every connection, records it, and lets the script answer it, swallow
+/// it, or drop the connection without an answer.
+class ScriptedServer {
+ public:
+  enum class Action { kAnswer, kSwallow, kDrop };
+  /// Decides the fate of the n-th request (from 0, across connections);
+  /// for kAnswer it may change *resp, which starts as a kOk for the
+  /// request's id and opcode.
+  using Script = std::function<Action(size_t n, Response* resp)>;
+
+  struct Arrival {
+    serve::Request req;
+    uint64_t at_ns = 0;
+  };
+
+  explicit ScriptedServer(Script script) : script_(std::move(script)) {
+    io::Status st = serve::OpenListener(0, &listen_fd_, &port_);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    thread_ = std::thread([this] { Loop(); });
+  }
+  ~ScriptedServer() {
+    Stop();
+    serve::CloseFd(listen_fd_);
+  }
+  ScriptedServer(const ScriptedServer&) = delete;
+  ScriptedServer& operator=(const ScriptedServer&) = delete;
+
+  uint16_t port() const { return port_; }
+
+  /// Joins the server thread; arrivals() may be read after this.
+  void Stop() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+  const std::vector<Arrival>& arrivals() const { return arrivals_; }
+
+ private:
+  struct Conn {
+    int fd = -1;
+    std::string in;
+  };
+
+  void Loop() {
+    std::vector<Conn> conns;
+    while (!stop_.load()) {
+      std::vector<pollfd> fds{{listen_fd_, POLLIN, 0}};
+      for (const Conn& c : conns) fds.push_back({c.fd, POLLIN, 0});
+      if (poll(fds.data(), fds.size(), 5) <= 0) continue;
+      std::vector<Conn> live;
+      for (size_t i = 0; i < conns.size(); ++i) {
+        if (fds[i + 1].revents == 0 || Serve(&conns[i]))
+          live.push_back(std::move(conns[i]));
+        else
+          serve::CloseFd(conns[i].fd);
+      }
+      conns.swap(live);
+      int fd = -1;
+      if (fds[0].revents != 0 && serve::AcceptConn(listen_fd_, &fd).ok() &&
+          fd >= 0)
+        conns.push_back({fd, {}});
+    }
+    for (const Conn& c : conns) serve::CloseFd(c.fd);
+  }
+
+  /// Plays the script on every complete request the connection holds.
+  /// False when the connection is gone or the script dropped it.
+  bool Serve(Conn* c) {
+    bool eof = false, would_block = false;
+    if (!serve::ReadSome(c->fd, &c->in, &eof, &would_block).ok() || eof)
+      return false;
+    size_t pos = 0;
+    serve::Request req;
+    while (serve::DecodeRequest(c->in, &pos, &req) ==
+           serve::DecodeResult::kFrame) {
+      arrivals_.push_back({req, obs::NowNanos()});
+      Response resp;
+      resp.id = req.id;
+      resp.op = req.op;
+      Action a = script_(arrivals_.size() - 1, &resp);
+      if (a == Action::kDrop) return false;
+      if (a == Action::kSwallow) continue;
+      std::string frame;
+      serve::AppendResponse(resp, &frame);
+      if (!serve::SendAll(c->fd, frame).ok()) return false;
+    }
+    c->in.erase(0, pos);
+    return true;
+  }
+
+  Script script_;
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::vector<Arrival> arrivals_;  // server thread only until Stop()
+  std::thread thread_;
+};
+
+ResilientClient::Options ClientOpts(uint16_t port, uint32_t max_retries) {
+  ResilientClient::Options o;
+  o.port = port;
+  o.timeout_ms = 100;
+  o.max_retries = max_retries;
+  return o;
+}
+
+ScriptedServer::Action Shed(Response* resp, uint32_t retry_after_ms) {
+  resp->status = RespStatus::kShed;
+  resp->retry_after_ms = retry_after_ms;
+  return ScriptedServer::Action::kAnswer;
+}
+
+TEST(ResilientClientTest, ShedThenUnansweredAttemptIsIndeterminate) {
+  // Attempt 1 is refused; attempt 2 reaches the server and is never
+  // answered, so it may have been applied. The refusal of attempt 1 must
+  // not be reported as the outcome.
+  ScriptedServer srv([](size_t n, Response* resp) {
+    return n == 0 ? Shed(resp, 1) : ScriptedServer::Action::kSwallow;
+  });
+  ResilientClient client(ClientOpts(srv.port(), 1));
+  Response resp;
+  io::Status st = client.Put(7, 70, &resp);
+  EXPECT_FALSE(st.ok()) << "returned OK with status "
+                        << static_cast<int>(resp.status);
+  srv.Stop();
+  EXPECT_EQ(2u, srv.arrivals().size());
+}
+
+TEST(ResilientClientTest, EveryAttemptShedReturnsTheRefusal) {
+  ScriptedServer srv([](size_t, Response* resp) { return Shed(resp, 1); });
+  ResilientClient client(ClientOpts(srv.port(), 3));
+  Response resp;
+  ASSERT_TRUE(client.Get(5, &resp).ok());
+  EXPECT_EQ(RespStatus::kShed, resp.status);
+  srv.Stop();
+  EXPECT_EQ(4u, srv.arrivals().size());  // 1 + max_retries
+}
+
+TEST(ResilientClientTest, BackoffFollowsTheRetryAfterHint) {
+  constexpr uint32_t kHintMs = 40;  // far above the 2 ms computed backoff
+  ScriptedServer srv([](size_t n, Response* resp) {
+    return n < 2 ? Shed(resp, kHintMs) : ScriptedServer::Action::kAnswer;
+  });
+  ResilientClient client(ClientOpts(srv.port(), 4));
+  Response resp;
+  ASSERT_TRUE(client.Put(1, 2, &resp).ok());
+  EXPECT_EQ(RespStatus::kOk, resp.status);
+  srv.Stop();
+  const auto& a = srv.arrivals();
+  ASSERT_EQ(3u, a.size());
+  for (size_t i = 1; i < a.size(); ++i)
+    EXPECT_GE(a[i].at_ns - a[i - 1].at_ns, uint64_t{kHintMs} * 1000000)
+        << "attempt " << i + 1;
+}
+
+TEST(ResilientClientTest, RetriedWriteReusesItsTokenAcrossConnections) {
+  // Attempt 1 is swallowed (timeout), attempt 2 loses its connection,
+  // attempt 3 is answered: one logical write, one token on every frame.
+  ScriptedServer srv([](size_t n, Response*) {
+    if (n == 0) return ScriptedServer::Action::kSwallow;
+    if (n == 1) return ScriptedServer::Action::kDrop;
+    return ScriptedServer::Action::kAnswer;
+  });
+  ResilientClient client(ClientOpts(srv.port(), 4));
+  Response resp;
+  ASSERT_TRUE(client.Put(3, 30, &resp).ok());
+  EXPECT_EQ(RespStatus::kOk, resp.status);
+  ASSERT_TRUE(client.Delete(3, &resp).ok());
+  srv.Stop();
+  const auto& a = srv.arrivals();
+  ASSERT_EQ(4u, a.size());
+  const uint64_t token = a[0].req.idem;
+  EXPECT_NE(0u, token);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(serve::OpCode::kPut, a[i].req.op);
+    EXPECT_EQ(token, a[i].req.idem) << "attempt " << i + 1;
+  }
+  // The next logical write gets a fresh token.
+  EXPECT_EQ(serve::OpCode::kDelete, a[3].req.op);
+  EXPECT_NE(0u, a[3].req.idem);
+  EXPECT_NE(token, a[3].req.idem);
+}
+
+TEST(ResilientClientTest, RoundTripAgainstARealServer) {
+  serve::ServerOptions o;
+  o.port = 0;
+  o.num_shards = 2;
+  serve::Server server(std::move(o));
+  ASSERT_TRUE(server.Start().ok());
+  ResilientClient client(ClientOpts(server.port(), 2));
+  Response resp;
+  ASSERT_TRUE(client.Put(11, 110, &resp).ok());
+  EXPECT_EQ(RespStatus::kOk, resp.status);
+  ASSERT_TRUE(client.Get(11, &resp).ok());
+  EXPECT_EQ(RespStatus::kOk, resp.status);
+  EXPECT_EQ(110u, resp.value);
+  ASSERT_TRUE(client.Delete(11, &resp).ok());
+  EXPECT_EQ(RespStatus::kOk, resp.status);
+  ASSERT_TRUE(client.Get(11, &resp).ok());
+  EXPECT_EQ(RespStatus::kNotFound, resp.status);
+  client.Close();
+  server.Shutdown();
 }
 
 }  // namespace

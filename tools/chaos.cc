@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "flags.h"
 #include "guard/net_fault.h"
 #include "guard/resilient_client.h"
 #include "io/status.h"
@@ -59,6 +60,8 @@ namespace {
 using met::guard::ResilientClient;
 using met::serve::RespStatus;
 using met::serve::Response;
+using met::tools::FlagStr;
+using met::tools::FlagU64;
 
 struct Config {
   size_t cycles = 200;
@@ -215,27 +218,6 @@ int CountOpenFds() {
 
 // ---- driver ---------------------------------------------------------------
 
-uint64_t FlagU64(int argc, char** argv, const char* name, uint64_t def) {
-  size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return std::strtoull(argv[i] + len + 1, nullptr, 10);
-  }
-  return def;
-}
-
-const char* FlagStr(int argc, char** argv, const char* name, const char* def) {
-  size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[i + 1];
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return argv[i] + len + 1;
-  }
-  return def;
-}
-
 class Driver {
  public:
   explicit Driver(Config cfg)
@@ -301,7 +283,7 @@ class Driver {
       client_ = std::make_unique<ResilientClient>(copts);
     } else {
       ++stats_.restarts;
-      // Same port: the existing client reconnects on its next attempt.
+      // Same port: the existing client connects again on its next attempt.
       client_->Close();
     }
     return true;

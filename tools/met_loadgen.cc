@@ -5,49 +5,47 @@
 //               [--rate R]                         (open loop: R total ops/s)
 //               [--updates F] [--scans F] [--inserts F] [--scan-len L]
 //               [--zipfian] [--multiget W] [--no-preload]
-//               [--timeout-ms T] [--retries N] [--hedge-ms H]
-//               [--deadline-ms D]
+//               [--timeout-ms T] [--deadline-ms D]
 //               [--server-shards N] [--json PATH]
 //
-// One thread drives one connection. Closed loop keeps --pipeline requests
-// outstanding per connection and measures request latency send -> response.
-// Open loop schedules arrivals at a fixed rate and measures latency from
-// the *intended* arrival time (coordinated-omission-free: a stalled server
-// inflates every latency behind the stall, exactly as real clients would
-// experience it), shedding (kShed) counted separately from service.
+// One thread drives one connection through one loop. Each thread keeps a
+// window of outstanding request ids, each mapped to its intended send time.
+// Closed loop: the window is --pipeline deep and the intended time is the
+// send time. Open loop: arrivals are scheduled every conns/R seconds and
+// the window is capped at kOpenWindow requests, so a sender ahead of a
+// stalled server falls behind schedule instead of deadlocking against it.
+// Latency is measured from the intended send time, so coordinated omission
+// cannot hide a server stall: everything queued behind it shows in the
+// tail. Shed (kShed) and deadline refusals are counted apart from service.
 //
-// Resilience (met::guard client side): --timeout-ms bounds every receive —
-// an op unanswered past the budget is counted a timeout instead of wedging
-// the generator behind a stalled connection. --retries N re-issues timed-out
-// ops up to N times with capped-exponential backoff; PUT/DELETE retries
-// carry an idempotency token so the server's dedup window keeps them
-// exactly-once. --hedge-ms issues a duplicate GET when the first copy is
-// slow; the first answer wins. A dead connection is re-established and
-// tokened writes are replayed on it. Retries, hedges, hedge wins,
-// timeouts, reconnects, and expired (abandoned) ops are all attributed
-// separately, on stdout and in the met.bench.v1 report.
+// --timeout-ms bounds how long an op may stay outstanding: an older op is
+// written off (counted in timeouts and expired), and an answer that arrives
+// for it later is counted as late. --deadline-ms attaches a server-side
+// deadline to every request. Nothing is retried; a dead connection fails
+// the run.
 //
 // The op mix comes from the YCSB request stream (src/ycsb/workload.h):
 // reads map to GET (optionally grouped into MULTIGET), updates/inserts to
-// PUT, scans to SCAN. --json emits a met.bench.v1 document whose
-// "serve loadgen" section CI gates with tools/bench_diff.
+// PUT, scans to SCAN. --json emits a met.bench.v1 document with one
+// "serve loadgen" row; CI asserts on it and diffs it, warn-only, against
+// bench/baselines/loadgen.json with tools/bench_diff.
 
 #include <poll.h>
 #include <time.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
+#include <map>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/timer.h"
+#include "flags.h"
 #include "obs/histogram.h"
 #include "serve/client.h"
 #include "ycsb/workload.h"
@@ -58,6 +56,19 @@ using met::serve::Client;
 using met::serve::OpCode;
 using met::serve::RespStatus;
 using met::serve::Response;
+using met::tools::FlagBool;
+using met::tools::FlagDouble;
+using met::tools::FlagStr;
+using met::tools::FlagU64;
+
+// Open loop: most requests one connection may have outstanding. Past it
+// the sender falls behind schedule rather than deadlocking (an unbounded
+// send against a server that paused reads, because its response backlog to
+// this client crossed the high-water mark, would wedge both sides).
+constexpr size_t kOpenWindow = 1024;
+// After the run, outstanding ops get the longer of this and --timeout-ms to
+// be answered; whatever is left then counts as expired.
+constexpr uint64_t kMinDrainNs = 2ull * 1000 * 1000 * 1000;
 
 struct Config {
   std::string host = "127.0.0.1";
@@ -73,12 +84,9 @@ struct Config {
   size_t scan_len = 16;
   bool zipfian = false;
   size_t multiget = 0;  // group this many reads into one MULTIGET (0 = off)
-  size_t max_outstanding = 1024;  // open loop: per-conn in-flight cap
   bool preload = true;
   size_t server_shards = 1;  // for the qps-per-shard report only
-  uint32_t timeout_ms = 1000;  // per-op receive budget; 0 = wait forever
-  uint32_t retries = 0;        // closed loop: retry timed-out ops this often
-  uint32_t hedge_ms = 0;       // closed loop: duplicate slow GETs; 0 = off
+  uint32_t timeout_ms = 1000;  // per-op budget; 0 = no per-op limit
   uint32_t deadline_ms = 0;    // attach this deadline to every request
 };
 
@@ -90,13 +98,9 @@ struct ThreadResult {
   uint64_t deadline_exceeded = 0;
   uint64_t errors = 0;
   uint64_t sent = 0;
-  uint64_t timeouts = 0;    // per-attempt receive expiries
-  uint64_t retries = 0;     // re-issued attempts
-  uint64_t hedges = 0;      // duplicate GETs issued
-  uint64_t hedge_wins = 0;  // hedge answered before the primary
-  uint64_t reconnects = 0;  // connections re-established mid-run
-  uint64_t expired = 0;     // ops abandoned (timed out past all retries)
-  uint64_t late = 0;        // responses for already-abandoned ops
+  uint64_t timeouts = 0;  // ops outstanding past --timeout-ms
+  uint64_t expired = 0;   // ops written off unanswered
+  uint64_t late = 0;      // answers for ops already written off
   bool failed = false;
   std::string fail_msg;
 
@@ -109,18 +113,15 @@ struct ThreadResult {
       case RespStatus::kDeadlineExceeded: ++deadline_exceeded; break;
     }
   }
-  uint64_t Serviced() const { return ok + notfound; }
 };
 
-/// One logical request, kept around so a timed-out attempt can be re-sent
-/// verbatim (with the same idempotency token for writes).
+/// One request, as the feeder produces it.
 struct OpSpec {
   OpCode op = OpCode::kGet;
   uint64_t key = 0;
   uint64_t value = 0;
   uint32_t scan_limit = 0;
   std::vector<uint64_t> multi_keys;
-  uint64_t idem = 0;
 };
 
 /// Produces the next OpSpec from the YCSB stream.
@@ -185,26 +186,12 @@ class RequestFeeder {
 uint32_t SendSpec(Client* c, const OpSpec& s) {
   switch (s.op) {
     case OpCode::kGet: return c->SendGet(s.key);
-    case OpCode::kPut: return c->SendPut(s.key, s.value, s.idem);
-    case OpCode::kDelete: return c->SendDelete(s.key, s.idem);
+    case OpCode::kPut: return c->SendPut(s.key, s.value);
+    case OpCode::kDelete: return c->SendDelete(s.key);
     case OpCode::kScan: return c->SendScan(s.key, s.scan_limit);
     case OpCode::kMultiGet: return c->SendMultiGet(s.multi_keys);
   }
   return 0;  // unreachable
-}
-
-/// Capped exponential: 2ms << (attempt-1), ceiling 200ms.
-uint64_t BackoffNs(uint32_t attempt) {
-  uint64_t ms = 2ull << std::min(attempt > 0 ? attempt - 1 : 0u, 10u);
-  return std::min<uint64_t>(ms, 200) * 1000000ull;
-}
-
-void SleepMs(uint64_t ms) {
-  timespec ts;
-  ts.tv_sec = static_cast<time_t>(ms / 1000);
-  ts.tv_nsec = static_cast<long>((ms % 1000) * 1000000);
-  while (nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-  }
 }
 
 bool Preload(const Config& cfg, size_t t, Client* c, std::string* err) {
@@ -224,7 +211,8 @@ bool Preload(const Config& cfg, size_t t, Client* c, std::string* err) {
   std::vector<uint64_t> shed;
   uint32_t backoff_ms = 0;
   while (!todo.empty()) {
-    if (backoff_ms != 0) SleepMs(backoff_ms);
+    if (backoff_ms != 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     backoff_ms = 0;
     shed.clear();
     for (size_t i = 0; i < todo.size();) {
@@ -259,383 +247,93 @@ bool Preload(const Config& cfg, size_t t, Client* c, std::string* err) {
   return true;
 }
 
-void RunClosed(const Config& cfg, size_t t, ThreadResult* out) {
+void Run(const Config& cfg, size_t t, ThreadResult* out) {
+  auto fail = [&](const std::string& msg) {
+    out->failed = true;
+    out->fail_msg = msg;
+  };
   Client c;
   c.set_deadline_ms(cfg.deadline_ms);
-  if (met::io::Status st = c.Connect(cfg.host, cfg.port); !st.ok()) {
-    out->failed = true;
-    out->fail_msg = st.ToString();
-    return;
-  }
+  if (met::io::Status st = c.Connect(cfg.host, cfg.port); !st.ok())
+    return fail(st.ToString());
   std::string err;
-  if (cfg.preload && !Preload(cfg, t, &c, &err)) {
-    out->failed = true;
-    out->fail_msg = "preload: " + err;
-    return;
-  }
-  // The timeout arms after preload: a cold preload against a durable engine
-  // may legitimately out-wait the per-op budget.
-  c.SetRecvTimeout(cfg.timeout_ms);
-
-  struct Pending {
-    OpSpec spec;
-    uint64_t first_ns = 0;  // first transmit: latency epoch
-    uint64_t sent_ns = 0;   // last transmit: timeout epoch
-    uint64_t retry_at = 0;  // nonzero = timed out, awaiting backoff
-    uint32_t attempts = 1;
-    uint32_t twin = 0;  // hedge partner id (both directions)
-    bool is_hedge = false;
-  };
-  std::unordered_map<uint32_t, Pending> pending;
-  uint64_t next_idem = (static_cast<uint64_t>(t) + 1) << 40 | 1;
-  const uint64_t timeout_ns = uint64_t{cfg.timeout_ms} * 1000000;
-  const uint64_t hedge_ns = uint64_t{cfg.hedge_ms} * 1000000;
-
-  RequestFeeder feeder(cfg, 0x10aD6E + t * 977);
-  met::Timer clock;
-  const uint64_t deadline = static_cast<uint64_t>(cfg.seconds * 1e9);
-  Response resp;
-
-  auto on_resp = [&](const Response& r, uint64_t now) {
-    auto it = pending.find(r.id);
-    if (it == pending.end()) {
-      ++out->late;  // answer for an op already abandoned or hedge-resolved
-      return;
-    }
-    Pending& p = it->second;
-    if (p.is_hedge) ++out->hedge_wins;
-    if (r.status == RespStatus::kOk || r.status == RespStatus::kNotFound)
-      out->latency.RecordNanos(now - p.first_ns);
-    out->Count(r);
-    uint32_t twin = p.twin;
-    pending.erase(it);
-    if (twin != 0) pending.erase(twin);
-  };
-
-  // Walks the window after a receive timeout: expires ops past their
-  // budget (scheduling a retry or abandoning them), fires due retries, and
-  // hedges slow GETs. Returns true when new frames need a Flush.
-  auto sweep = [&](uint64_t now) -> bool {
-    bool need_flush = false;
-    std::vector<uint32_t> abandon, retry, hedge;
-    for (auto& [id, p] : pending) {
-      if (p.is_hedge) continue;  // follows its primary's fate
-      if (p.retry_at != 0) {
-        if (now >= p.retry_at) retry.push_back(id);
-        continue;
-      }
-      if (timeout_ns != 0 && now - p.sent_ns >= timeout_ns) {
-        ++out->timeouts;
-        if (p.attempts <= cfg.retries)
-          p.retry_at = now + BackoffNs(p.attempts);
-        else
-          abandon.push_back(id);
-        continue;
-      }
-      if (hedge_ns != 0 && p.twin == 0 && p.spec.op == OpCode::kGet &&
-          now - p.sent_ns >= hedge_ns)
-        hedge.push_back(id);
-    }
-    for (uint32_t id : abandon) {
-      uint32_t twin = pending[id].twin;
-      pending.erase(id);
-      if (twin != 0) pending.erase(twin);
-      ++out->expired;
-    }
-    for (uint32_t id : retry) {
-      Pending p = std::move(pending[id]);
-      pending.erase(id);
-      if (p.twin != 0) pending.erase(p.twin);
-      p.twin = 0;
-      p.retry_at = 0;
-      ++p.attempts;
-      ++out->retries;
-      p.sent_ns = now;
-      uint32_t nid = SendSpec(&c, p.spec);
-      pending.emplace(nid, std::move(p));
-      need_flush = true;
-    }
-    for (uint32_t id : hedge) {
-      Pending& prim = pending[id];
-      ++out->hedges;
-      uint32_t hid = c.SendGet(prim.spec.key);
-      Pending h;
-      h.spec = prim.spec;
-      h.first_ns = prim.first_ns;
-      h.sent_ns = now;
-      h.is_hedge = true;
-      h.twin = id;
-      prim.twin = hid;
-      pending.emplace(hid, std::move(h));
-      need_flush = true;
-    }
-    return need_flush;
-  };
-
-  // A dead connection (reset under fault injection, server restart) is
-  // re-established; tokened writes replay on it — the dedup window keeps
-  // them exactly-once — and everything else is abandoned (its answer died
-  // with the old socket).
-  auto reconnect = [&](uint64_t now) -> bool {
-    c.Close();
-    for (uint32_t i = 0; i <= cfg.retries; ++i) {
-      if (c.Connect(cfg.host, cfg.port).ok()) break;
-      SleepMs(BackoffNs(i + 1) / 1000000);
-    }
-    if (!c.connected()) return false;
-    ++out->reconnects;
-    std::unordered_map<uint32_t, Pending> old;
-    old.swap(pending);
-    for (auto& [id, p] : old) {
-      if (p.is_hedge) continue;
-      bool tokened_write = (p.spec.op == OpCode::kPut ||
-                            p.spec.op == OpCode::kDelete) &&
-                           p.spec.idem != 0;
-      if (tokened_write && p.attempts <= cfg.retries) {
-        ++p.attempts;
-        ++out->retries;
-        p.sent_ns = now;
-        p.retry_at = 0;
-        p.twin = 0;
-        uint32_t nid = SendSpec(&c, p.spec);
-        pending.emplace(nid, std::move(p));
-      } else {
-        ++out->expired;
-      }
-    }
-    return pending.empty() || c.Flush().ok();
-  };
-
-  while (clock.ElapsedNanos() < deadline) {
-    while (pending.size() < cfg.pipeline) {
-      OpSpec s = feeder.Next();
-      if (cfg.retries > 0 &&
-          (s.op == OpCode::kPut || s.op == OpCode::kDelete))
-        s.idem = next_idem++;
-      uint64_t now = clock.ElapsedNanos();
-      uint32_t id = SendSpec(&c, s);
-      Pending p;
-      p.spec = std::move(s);
-      p.first_ns = now;
-      p.sent_ns = now;
-      pending.emplace(id, std::move(p));
-      ++out->sent;
-    }
-    if (met::io::Status st = c.Flush(); !st.ok()) {
-      if (!reconnect(clock.ElapsedNanos())) {
-        out->failed = true;
-        out->fail_msg = st.ToString();
-        return;
-      }
-      continue;
-    }
-    met::io::Status st = c.Recv(&resp);
-    if (st.ok()) {
-      on_resp(resp, clock.ElapsedNanos());
-      continue;
-    }
-    if (Client::IsTimeout(st)) {
-      if (sweep(clock.ElapsedNanos())) {
-        if (!c.Flush().ok() && !reconnect(clock.ElapsedNanos())) {
-          out->failed = true;
-          out->fail_msg = "reconnect failed";
-          return;
-        }
-      }
-      continue;
-    }
-    if (!reconnect(clock.ElapsedNanos())) {
-      out->failed = true;
-      out->fail_msg = st.ToString();
-      return;
-    }
-  }
-  // Drain the window so the server-side counters settle before Shutdown;
-  // the receive timeout bounds the wait when the tail never arrives.
-  while (!pending.empty()) {
-    if (met::io::Status st = c.Recv(&resp); !st.ok()) {
-      if (Client::IsTimeout(st)) {
-        out->expired += pending.size();
-        pending.clear();
-      }
-      break;
-    }
-    on_resp(resp, clock.ElapsedNanos());
-  }
-}
-
-void RunOpen(const Config& cfg, size_t t, ThreadResult* out) {
-  Client c;
-  c.set_deadline_ms(cfg.deadline_ms);
-  if (met::io::Status st = c.Connect(cfg.host, cfg.port); !st.ok()) {
-    out->failed = true;
-    out->fail_msg = st.ToString();
-    return;
-  }
-  std::string err;
-  if (cfg.preload && !Preload(cfg, t, &c, &err)) {
-    out->failed = true;
-    out->fail_msg = "preload: " + err;
-    return;
-  }
-  c.SetRecvTimeout(cfg.timeout_ms);
-  RequestFeeder feeder(cfg, 0x09E41 + t * 977);
-  const double per_conn_rate = cfg.rate / static_cast<double>(cfg.conns);
+  if (cfg.preload && !Preload(cfg, t, &c, &err))
+    return fail("preload: " + err);
+  const bool open = cfg.rate > 0.0;
+  const size_t window = open ? kOpenWindow : cfg.pipeline;
   const uint64_t interval =
-      static_cast<uint64_t>(1e9 / (per_conn_rate > 0 ? per_conn_rate : 1));
+      open ? static_cast<uint64_t>(1e9 * static_cast<double>(cfg.conns) /
+                                   cfg.rate)
+           : 0;
   const uint64_t timeout_ns = uint64_t{cfg.timeout_ms} * 1000000;
-  std::unordered_map<uint32_t, uint64_t> intended;
-  met::Timer clock;
-  const uint64_t deadline = static_cast<uint64_t>(cfg.seconds * 1e9);
+  const uint64_t end = static_cast<uint64_t>(cfg.seconds * 1e9);
+  const uint64_t drain_end = end + std::max(timeout_ns, kMinDrainNs);
+  RequestFeeder feeder(cfg, (open ? 0x09E41 : 0x10aD6E) + t * 977);
+  // Request id -> intended send time. Ids and intended times both grow, so
+  // the oldest outstanding op is the first entry.
+  std::map<uint32_t, uint64_t> intended;
   uint64_t next_arrival = 0;
-  Response resp;
-  auto drain_buffered = [&](uint64_t now) -> bool {
-    for (;;) {
-      bool have = false;
-      if (!c.TryRecv(&resp, &have).ok()) return false;
-      if (!have) return true;
-      auto it = intended.find(resp.id);
-      if (it == intended.end()) {
-        ++out->late;  // answer for an op already expired by the timeout
-        continue;
-      }
-      // Latency from the intended arrival, not the actual send: queueing
-      // delay behind a slow server is charged to the server.
-      if (resp.status == RespStatus::kOk ||
-          resp.status == RespStatus::kNotFound)
-        out->latency.RecordNanos(now - it->second);
-      intended.erase(it);
-      out->Count(resp);
-    }
-  };
-  // Ops whose intended arrival is more than the timeout in the past are
-  // written off: with the generator ahead of a stalled server, the window
-  // would otherwise pin at max_outstanding forever.
-  auto expire_overdue = [&](uint64_t now) {
-    if (timeout_ns == 0) return;
-    for (auto it = intended.begin(); it != intended.end();) {
-      if (now - it->second >= timeout_ns) {
-        ++out->timeouts;
-        ++out->expired;
-        it = intended.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-  // Cap on requests in flight per connection: past it the sender itself
-  // falls behind schedule rather than deadlocking (an unbounded blocking
-  // send against a server that paused reads — because its own response
-  // backlog to this non-reading client crossed the high-water mark — would
-  // wedge both sides). Latency is still charged from the intended arrival,
-  // so everything queued behind the stall stays visible in the tail.
-  const size_t max_outstanding = cfg.max_outstanding;
+  met::Timer clock;
   for (;;) {
     uint64_t now = clock.ElapsedNanos();
-    if (now >= deadline) break;
-    bool sent_any = false;
-    while (next_arrival <= now && intended.size() < max_outstanding) {
-      intended[SendSpec(&c, feeder.Next())] = next_arrival;
-      ++out->sent;
+    if (now >= end && (intended.empty() || now >= drain_end)) break;
+    bool sent = false;
+    while (now < end && intended.size() < window && next_arrival <= now) {
+      intended.emplace(SendSpec(&c, feeder.Next()),
+                       open ? next_arrival : clock.ElapsedNanos());
       next_arrival += interval;
-      sent_any = true;
+      ++out->sent;
+      sent = true;
     }
-    if (sent_any && !c.Flush().ok()) {
-      out->failed = true;
-      out->fail_msg = "flush failed";
-      return;
+    if (sent) {
+      if (met::io::Status st = c.Flush(); !st.ok())
+        return fail("send: " + st.ToString());
     }
-    if (!drain_buffered(clock.ElapsedNanos())) return;
-    if (intended.size() >= max_outstanding) {
-      // Saturated: wait (bounded — a stalled connection must not wedge the
-      // generator) for a response before sending more.
-      pollfd p{};
-      p.fd = c.fd();
-      p.events = POLLIN;
-      if (poll(&p, 1, 100) > 0) {
-        if (met::io::Status st = c.Fill(); !st.ok()) {
-          if (!Client::IsTimeout(st)) return;  // peer closed mid-run: stop
+
+    // Wait for a readable socket or the next thing due: an arrival, the
+    // oldest op's timeout, or the end of the run or of the drain.
+    uint64_t due = now < end ? end : drain_end;
+    if (open && now < end && intended.size() < window)
+      due = std::min(due, next_arrival);
+    if (timeout_ns != 0 && !intended.empty())
+      due = std::min(due, intended.begin()->second + timeout_ns);
+    const uint64_t wait_ns = due > now ? due - now : 0;
+    timespec ts{static_cast<time_t>(wait_ns / 1000000000),
+                static_cast<long>(wait_ns % 1000000000)};
+    pollfd p{c.fd(), POLLIN, 0};
+    int ready = ppoll(&p, 1, &ts, nullptr);
+    if (ready < 0 && errno != EINTR) return fail("ppoll failed");
+    if (ready > 0) {
+      if (met::io::Status st = c.Fill(); !st.ok())
+        return fail("connection lost: " + st.ToString());
+      now = clock.ElapsedNanos();
+      for (;;) {
+        Response resp;
+        bool have = false;
+        if (met::io::Status st = c.TryRecv(&resp, &have); !st.ok())
+          return fail("bad response: " + st.ToString());
+        if (!have) break;
+        auto it = intended.find(resp.id);
+        if (it == intended.end()) {
+          ++out->late;
+          continue;
         }
-        if (!drain_buffered(clock.ElapsedNanos())) return;
+        if (resp.status == RespStatus::kOk ||
+            resp.status == RespStatus::kNotFound)
+          out->latency.RecordNanos(now - it->second);
+        out->Count(resp);
+        intended.erase(it);
       }
-      expire_overdue(clock.ElapsedNanos());
-      continue;
     }
     now = clock.ElapsedNanos();
-    if (next_arrival > now) {
-      // Sleep in ns (ppoll): ms granularity would turn sub-ms arrival
-      // intervals into a busy spin, starving a colocated server.
-      uint64_t sleep_ns = next_arrival - now;
-      timespec ts{};
-      ts.tv_sec = static_cast<time_t>(sleep_ns / 1000000000);
-      ts.tv_nsec = static_cast<long>(sleep_ns % 1000000000);
-      pollfd p{};
-      p.fd = c.fd();
-      p.events = POLLIN;
-      int r = ppoll(&p, 1, &ts, nullptr);
-      if (r > 0) {
-        if (met::io::Status st = c.Fill(); !st.ok()) {
-          if (!Client::IsTimeout(st)) return;
-        }
-        if (!drain_buffered(clock.ElapsedNanos())) return;
-      }
-      expire_overdue(clock.ElapsedNanos());
+    while (timeout_ns != 0 && !intended.empty() &&
+           now - intended.begin()->second >= timeout_ns) {
+      intended.erase(intended.begin());
+      ++out->timeouts;
+      ++out->expired;
     }
   }
-  // Bounded post-deadline drain: collect responses already in flight.
-  met::Timer drain;
-  while (!intended.empty() && drain.ElapsedSeconds() < 2.0) {
-    pollfd p{};
-    p.fd = c.fd();
-    p.events = POLLIN;
-    if (poll(&p, 1, 100) <= 0) {
-      expire_overdue(clock.ElapsedNanos());
-      continue;
-    }
-    if (met::io::Status st = c.Fill(); !st.ok()) {
-      if (!Client::IsTimeout(st)) break;
-    }
-    if (!drain_buffered(clock.ElapsedNanos())) break;
-    expire_overdue(clock.ElapsedNanos());
-  }
-}
-
-uint64_t FlagU64(int argc, char** argv, const char* name, uint64_t def) {
-  size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return std::strtoull(argv[i] + len + 1, nullptr, 10);
-  }
-  return def;
-}
-
-double FlagDouble(int argc, char** argv, const char* name, double def) {
-  size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-      return std::atof(argv[i + 1]);
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return std::atof(argv[i] + len + 1);
-  }
-  return def;
-}
-
-const char* FlagStr(int argc, char** argv, const char* name, const char* def) {
-  size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[i + 1];
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return argv[i] + len + 1;
-  }
-  return def;
-}
-
-bool FlagBool(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
+  out->expired += intended.size();  // still unanswered when the drain ended
 }
 
 }  // namespace
@@ -658,15 +356,11 @@ int main(int argc, char** argv) {
   cfg.scan_len = FlagU64(argc, argv, "--scan-len", 16);
   cfg.zipfian = FlagBool(argc, argv, "--zipfian");
   cfg.multiget = FlagU64(argc, argv, "--multiget", 0);
-  cfg.max_outstanding =
-      std::max<uint64_t>(1, FlagU64(argc, argv, "--max-outstanding", 1024));
   cfg.preload = !FlagBool(argc, argv, "--no-preload");
   cfg.server_shards =
       std::max<uint64_t>(1, FlagU64(argc, argv, "--server-shards", 1));
   cfg.timeout_ms =
       static_cast<uint32_t>(FlagU64(argc, argv, "--timeout-ms", 1000));
-  cfg.retries = static_cast<uint32_t>(FlagU64(argc, argv, "--retries", 0));
-  cfg.hedge_ms = static_cast<uint32_t>(FlagU64(argc, argv, "--hedge-ms", 0));
   cfg.deadline_ms =
       static_cast<uint32_t>(FlagU64(argc, argv, "--deadline-ms", 0));
 
@@ -676,15 +370,13 @@ int main(int argc, char** argv) {
   threads.reserve(cfg.conns);
   met::Timer wall;
   for (size_t t = 0; t < cfg.conns; ++t)
-    threads.emplace_back(open_loop ? RunOpen : RunClosed, std::cref(cfg), t,
-                         &results[t]);
+    threads.emplace_back(Run, std::cref(cfg), t, &results[t]);
   for (auto& th : threads) th.join();
   double elapsed = wall.ElapsedSeconds();
 
   met::obs::Histogram latency;
   uint64_t ok = 0, notfound = 0, shed = 0, errors = 0, sent = 0;
-  uint64_t deadline_exceeded = 0, timeouts = 0, retries = 0, hedges = 0;
-  uint64_t hedge_wins = 0, reconnects = 0, expired = 0, late = 0;
+  uint64_t deadline_exceeded = 0, timeouts = 0, expired = 0, late = 0;
   for (ThreadResult& r : results) {
     if (r.failed) {
       std::fprintf(stderr, "met_loadgen: connection failed: %s\n",
@@ -699,10 +391,6 @@ int main(int argc, char** argv) {
     sent += r.sent;
     deadline_exceeded += r.deadline_exceeded;
     timeouts += r.timeouts;
-    retries += r.retries;
-    hedges += r.hedges;
-    hedge_wins += r.hedge_wins;
-    reconnects += r.reconnects;
     expired += r.expired;
     late += r.late;
   }
@@ -717,8 +405,7 @@ int main(int argc, char** argv) {
       "met_loadgen mode=%s conns=%zu pipeline=%zu rate=%.0f seconds=%.2f\n"
       "  sent=%llu serviced=%llu (ok=%llu notfound=%llu) shed=%llu "
       "deadline=%llu errors=%llu\n"
-      "  timeouts=%llu retries=%llu hedges=%llu hedge_wins=%llu "
-      "reconnects=%llu expired=%llu late=%llu\n"
+      "  timeouts=%llu expired=%llu late=%llu\n"
       "  qps=%.0f qps/shard=%.0f p50=%lluns p99=%lluns p999=%lluns\n",
       mode, cfg.conns, cfg.pipeline, cfg.rate, elapsed,
       static_cast<unsigned long long>(sent),
@@ -729,10 +416,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(deadline_exceeded),
       static_cast<unsigned long long>(errors),
       static_cast<unsigned long long>(timeouts),
-      static_cast<unsigned long long>(retries),
-      static_cast<unsigned long long>(hedges),
-      static_cast<unsigned long long>(hedge_wins),
-      static_cast<unsigned long long>(reconnects),
       static_cast<unsigned long long>(expired),
       static_cast<unsigned long long>(late), qps,
       qps / static_cast<double>(cfg.server_shards),
@@ -757,11 +440,8 @@ int main(int argc, char** argv) {
                 {"deadline_exceeded", static_cast<size_t>(deadline_exceeded)},
                 {"errors", static_cast<size_t>(errors)},
                 {"timeouts", static_cast<size_t>(timeouts)},
-                {"retries", static_cast<size_t>(retries)},
-                {"hedges", static_cast<size_t>(hedges)},
-                {"hedge_wins", static_cast<size_t>(hedge_wins)},
-                {"reconnects", static_cast<size_t>(reconnects)},
-                {"expired", static_cast<size_t>(expired)}});
+                {"expired", static_cast<size_t>(expired)},
+                {"late", static_cast<size_t>(late)}});
   reporter.WriteIfEnabled();
   return errors == 0 ? 0 : 2;
 }

@@ -22,46 +22,22 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench/bench_util.h"
+#include "flags.h"
 #include "guard/metrics.h"
 #include "serve/server.h"
 
 namespace {
 
+using met::tools::FlagBool;
+using met::tools::FlagStr;
+using met::tools::FlagU64;
+
 volatile std::sig_atomic_t g_stop = 0;
 
 void HandleStop(int) { g_stop = 1; }
-
-uint64_t FlagU64(int argc, char** argv, const char* name, uint64_t def) {
-  size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return std::strtoull(argv[i] + len + 1, nullptr, 10);
-  }
-  return def;
-}
-
-const char* FlagStr(int argc, char** argv, const char* name, const char* def) {
-  size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[i + 1];
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return argv[i] + len + 1;
-  }
-  return def;
-}
-
-bool FlagBool(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
-}
 
 }  // namespace
 
