@@ -1,13 +1,10 @@
-// met::batch — batch-size sweep for the group-prefetching lookup pipeline.
+// met::batch — batch-size sweep for the FST group-prefetching lookup kernel.
 //
 // Executes the same uniform-random point-query stream at batch sizes 1
-// through 256 against each structure: the native interleaved kernels (FST
-// point lookups, SuRF filter probes, Bloom probes) and the scalar
-// met::LookupBatch fallback (B+tree, ART), whose flat speedup curve is the
-// control. batch=1 runs the ordinary scalar call path — the baseline every
-// speedup column is relative to. Defaults to 10M random 64-bit integer keys
-// (the acceptance configuration: FST and SuRF should clear 1.5x at batch 64)
-// plus half as many emails; `--keys N` / `--ops N` shrink it for CI smoke.
+// through 256 through Fst::LookupBatch. batch=1 runs the ordinary scalar
+// Fst::Lookup — the baseline every speedup column is relative to. Defaults
+// to 10M random 64-bit integer keys plus half as many emails; `--keys N` /
+// `--ops N` shrink it for CI smoke.
 //
 // Batched results are bit-identical to scalar by construction; checked
 // builds (MET_CHECK=1 / Debug) re-verify every batch against the scalar
@@ -16,22 +13,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "art/art.h"
 #include "bench/bench_util.h"
-#include "bloom/bloom.h"
-#include "btree/btree.h"
 #include "common/index_api.h"
-#include "common/prefetch.h"
 #include "common/timer.h"
 #include "fst/fst.h"
 #include "keys/keygen.h"
 #include "prof/perf_counters.h"
-#include "surf/surf.h"
 
 using namespace met;
 
@@ -40,13 +31,7 @@ namespace {
 constexpr size_t kBatches[] = {1, 4, 16, 64, 256};
 constexpr size_t kMaxBatch = 256;
 
-const char* only_structure = nullptr;  // --only <substr>: skip other series
-size_t reps = 5;                       // --reps N: max-of-N per cell
-
-bool Selected(const char* structure) {
-  return only_structure == nullptr ||
-         std::strstr(structure, only_structure) != nullptr;
-}
+size_t reps = 5;  // --reps N: max-of-N per cell
 
 /// Uniform query indices from a SplitMix64 stream (deliberately not Zipfian:
 /// skew keeps hot nodes cache-resident and understates what prefetching
@@ -97,7 +82,6 @@ void Report(const char* structure, const char* keyset, size_t batch,
 template <typename ScalarFn, typename BatchFn>
 void Sweep(const char* structure, const char* keyset, size_t ops,
            ScalarFn&& scalar, BatchFn&& batched) {
-  if (!Selected(structure)) return;
   double base = 0;
   for (size_t b : kBatches) {
     // Max of `reps` repetitions: each cell is latency-bound and seconds
@@ -145,81 +129,17 @@ void RunStringDataset(const char* keyset, const std::vector<std::string>& keys,
   for (size_t i = 0; i < n; ++i) values[i] = i + 1;
 
   std::vector<LookupResult> out(kMaxBatch);
-  std::unique_ptr<bool[]> bout(new bool[kMaxBatch]);
-
-  if (Selected("FST")) {
-    Fst fst;
-    fst.Build(keys, values);
-    Sweep(
-        "FST", keyset, ops,
-        [&](size_t i) {
-          uint64_t v = 0;
-          fst.Lookup(qkeys[i], &v);
-          bench::Consume(v);
-        },
-        [&](size_t i0, size_t cnt) {
-          fst.LookupBatch(&qkeys[i0], cnt, out.data());
-          bench::Consume(out[cnt - 1].value);
-        });
-  }
-  if (Selected("SuRF-Hash4")) {
-    Surf surf;
-    surf.Build(keys, SurfConfig::Hash(4));
-    Sweep(
-        "SuRF-Hash4", keyset, ops,
-        [&](size_t i) { bench::Consume(surf.MayContain(qkeys[i])); },
-        [&](size_t i0, size_t cnt) {
-          surf.MayContainBatch(&qkeys[i0], cnt, bout.get());
-          bench::Consume(bout[cnt - 1]);
-        });
-  }
-  if (Selected("Bloom")) {
-    BloomFilter bloom(n, 14);
-    for (const auto& k : keys) bloom.Add(k);
-    Sweep(
-        "Bloom", keyset, ops,
-        [&](size_t i) { bench::Consume(bloom.MayContain(qkeys[i])); },
-        [&](size_t i0, size_t cnt) {
-          bloom.MayContainBatch(&qkeys[i0], cnt, bout.get());
-          bench::Consume(bout[cnt - 1]);
-        });
-  }
-  if (Selected("ART(scalar)")) {
-    Art art;
-    for (size_t i = 0; i < n; ++i) art.Insert(keys[i], values[i]);
-    Sweep(
-        "ART(scalar)", keyset, ops,
-        [&](size_t i) {
-          uint64_t v = 0;
-          art.Lookup(qkeys[i], &v);
-          bench::Consume(v);
-        },
-        [&](size_t i0, size_t cnt) {
-          met::LookupBatch(art, &qkeys[i0], cnt, out.data());
-          bench::Consume(out[cnt - 1].value);
-        });
-  }
-}
-
-void RunIntTreeDataset(const std::vector<uint64_t>& ints, size_t ops) {
-  size_t n = ints.size();
-  auto qidx = UniformIndices(n, ops, 0xb7eeull + n);
-  std::vector<uint64_t> qkeys(ops);
-  for (size_t i = 0; i < ops; ++i) qkeys[i] = ints[qidx[i]];
-  std::vector<LookupResult> out(kMaxBatch);
-
-  if (!Selected("B+tree(scalar)")) return;
-  BTree<uint64_t> btree;
-  for (size_t i = 0; i < n; ++i) btree.Insert(ints[i], i + 1);
+  Fst fst;
+  fst.Build(keys, values);
   Sweep(
-      "B+tree(scalar)", "int", ops,
+      "FST", keyset, ops,
       [&](size_t i) {
         uint64_t v = 0;
-        btree.Lookup(qkeys[i], &v);
+        fst.Lookup(qkeys[i], &v);
         bench::Consume(v);
       },
       [&](size_t i0, size_t cnt) {
-        met::LookupBatch(btree, &qkeys[i0], cnt, out.data());
+        fst.LookupBatch(&qkeys[i0], cnt, out.data());
         bench::Consume(out[cnt - 1].value);
       });
 }
@@ -239,10 +159,6 @@ int main(int argc, char** argv) {
       ops = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strncmp(argv[i], "--ops=", 6) == 0) {
       ops = std::strtoull(argv[i] + 6, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc) {
-      only_structure = argv[++i];
-    } else if (std::strncmp(argv[i], "--only=", 7) == 0) {
-      only_structure = argv[i] + 7;
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
@@ -254,8 +170,8 @@ int main(int argc, char** argv) {
   if (reps == 0) reps = 1;
 
   bench::Title("met::batch: point-lookup throughput vs batch size");
-  std::printf("  %zu int keys / %zu emails, %zu uniform queries, prefetch %s\n",
-              num_keys, num_keys / 2, ops, kPrefetchEnabled ? "on" : "off");
+  std::printf("  %zu int keys / %zu emails, %zu uniform queries\n", num_keys,
+              num_keys / 2, ops);
   std::printf("%-14s %-7s %6s %10s %10s %10s\n", "Structure", "Keys", "Batch",
               "Mops/s", "Speedup", "LLCmiss/op");
   if (!PerfSet().available())
@@ -266,13 +182,12 @@ int main(int argc, char** argv) {
     auto ints = GenRandomInts(num_keys);
     SortUnique(&ints);
     RunStringDataset("int", ToStringKeys(ints), ops);
-    RunIntTreeDataset(ints, ops);
   }
   {
     auto emails = GenEmails(num_keys / 2);
     SortUnique(&emails);
     RunStringDataset("email", emails, ops);
   }
-  bench::Note("group prefetching overlaps the DRAM misses of ~16 in-flight descents; wins scale with tree depth x miss cost, so FST/SuRF gain most and the scalar-fallback trees stay flat");
+  bench::Note("group prefetching overlaps the DRAM misses of ~16 in-flight descents; wins scale with tree depth x miss cost");
   return 0;
 }

@@ -68,19 +68,12 @@ class RankSupport {
   /// Prefetches everything Rank1(pos) will touch: the LUT entry and the
   /// block's first bit-vector word (a basic block is at most 512 bits, so
   /// the popcount loop spans at most two lines from there). Used by the
-  /// met::batch kernels to hide the miss one pipeline stage ahead.
+  /// FST batch kernel (Fst::PrefetchStep) to hide the miss one pipeline
+  /// stage ahead.
   void PrefetchRank1(size_t pos) const {
     size_t block = pos / block_bits_;
     PrefetchRead(&lut_[block]);
     PrefetchRead(bv_->data() + block * (block_bits_ / 64));
-  }
-
-  /// Batched Rank1 (met::batch): issues the prefetches for every query up
-  /// front, then computes. Results are identical to n scalar Rank1 calls by
-  /// construction — the compute pass *is* the scalar path.
-  void Rank1Batch(const size_t* pos, size_t n, size_t* out) const {
-    for (size_t i = 0; i < n; ++i) PrefetchRank1(pos[i]);
-    for (size_t i = 0; i < n; ++i) out[i] = Rank1(pos[i]);
   }
 
   size_t MemoryBytes() const { return lut_.size() * sizeof(uint32_t); }
@@ -133,22 +126,6 @@ class PoppyRank {
     uint64_t mask = ~uint64_t{0} >> (63 - pos % 64);
     n += PopCount(words[last_word] & mask);
     return n;
-  }
-
-  /// Prefetches the two table entries plus the sub-block's first word
-  /// (met::batch; mirrors RankSupport::PrefetchRank1).
-  void PrefetchRank1(size_t pos) const {
-    size_t s = pos / kSuperBits;
-    size_t j = (pos % kSuperBits) / kSubBits;
-    PrefetchRead(&super_[s]);
-    PrefetchRead(&sub_[s * kSubPerSuper + j]);
-    PrefetchRead(bv_->data() + (s * kSuperBits + j * kSubBits) / 64);
-  }
-
-  /// Batched Rank1: prefetch pass followed by the scalar compute pass.
-  void Rank1Batch(const size_t* pos, size_t n, size_t* out) const {
-    for (size_t i = 0; i < n; ++i) PrefetchRank1(pos[i]);
-    for (size_t i = 0; i < n; ++i) out[i] = Rank1(pos[i]);
   }
 
   size_t MemoryBytes() const {

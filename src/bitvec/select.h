@@ -12,7 +12,6 @@
 
 #include "bitvec/bitvector.h"
 #include "common/bits.h"
-#include "common/prefetch.h"
 
 namespace met {
 
@@ -66,32 +65,6 @@ class SelectSupport {
       remaining -= cnt;
       word = words[++w];
     }
-  }
-
-  /// Prefetches the sample-LUT entry Select1(rank) starts from. The scan
-  /// window itself depends on the entry's value — callers that can afford a
-  /// second stage follow up with ScanStartWord() (met::batch).
-  void PrefetchLut(size_t rank) const {
-    PrefetchRead(&lut_[rank / sample_rate_]);
-  }
-
-  /// Word index where Select1(rank)'s forward scan begins. Reads the LUT
-  /// entry, so call it one stage after PrefetchLut and prefetch the returned
-  /// word of the bit vector before the Select1 itself.
-  size_t ScanStartWord(size_t rank) const {
-    size_t sample_idx = rank / sample_rate_;
-    size_t pos = sample_idx > 0 ? lut_[sample_idx] : 0;
-    return pos / 64;
-  }
-
-  /// Batched Select1 (met::batch), three passes: prefetch LUT entries,
-  /// prefetch each query's scan-start word, compute. The compute pass is the
-  /// scalar path, so results match n scalar Select1 calls exactly.
-  void Select1Batch(const size_t* rank, size_t n, size_t* out) const {
-    for (size_t i = 0; i < n; ++i) PrefetchLut(rank[i]);
-    const uint64_t* words = bv_->data();
-    for (size_t i = 0; i < n; ++i) PrefetchRead(&words[ScanStartWord(rank[i])]);
-    for (size_t i = 0; i < n; ++i) out[i] = Select1(rank[i]);
   }
 
   size_t MemoryBytes() const { return lut_.size() * sizeof(uint32_t); }

@@ -1,6 +1,5 @@
 // Unified index API: the concept layer every met search structure conforms
-// to, plus the uniform LookupResult record and the generic batched-lookup
-// entry point.
+// to, plus the uniform LookupResult record.
 //
 // Terminology (aligned across the whole library):
 //   Lookup    — exact point lookup:  bool Lookup(key, Value* out = nullptr)
@@ -32,8 +31,8 @@
 
 namespace met {
 
-/// Uniform result of one unified point lookup. Batch kernels fill arrays of
-/// these; the scalar convenience overloads return it by value.
+/// Uniform result of one unified point lookup. The FST batch kernel and
+/// ShardEngine::GetBatch fill arrays of these.
 struct LookupResult {
   bool found = false;
   uint64_t value = 0;
@@ -86,32 +85,6 @@ template <typename T>
 concept HasMemoryBreakdown = requires(const T& t) {
   { t.Breakdown() } -> std::convertible_to<MemoryBreakdown>;
 };
-
-/// True when the structure ships a hand-rolled interleaved batch kernel
-/// (FST; SuRF and Bloom expose the analogous MayContainBatch).
-template <typename T, typename K>
-concept HasNativeLookupBatch =
-    requires(const T& t, const K* keys, size_t n, LookupResult* out) {
-      { t.LookupBatch(keys, n, out) };
-    };
-
-/// Batched point lookup over any unified index: dispatches to the
-/// structure's native interleaved kernel when one exists, otherwise runs
-/// the scalar path per key. Results are bit-identical to n scalar Lookup
-/// calls either way (enforced in Debug inside the native kernels).
-template <typename Index, typename K>
-void LookupBatch(const Index& index, const K* keys, size_t n,
-                 LookupResult* out) {
-  if constexpr (HasNativeLookupBatch<Index, K>) {
-    index.LookupBatch(keys, n, out);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t v = 0;
-      out[i].found = index.Lookup(keys[i], &v);
-      out[i].value = out[i].found ? v : 0;
-    }
-  }
-}
 
 }  // namespace met
 

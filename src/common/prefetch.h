@@ -1,31 +1,18 @@
-// Software-prefetch gate for the batched lookup kernels (met::batch).
+// Software prefetch hint for the FST batch kernel (Fst::LookupPathBatch).
 //
 // The batch pipeline hides dependent cache misses by running N probes as
-// interleaved state machines and issuing __builtin_prefetch for the lines
-// the *next* stage of each probe will touch. Building with -DMET_NO_PREFETCH
-// (CMake option MET_NO_PREFETCH) compiles every one of those hints to a
-// no-op, which isolates the group-prefetching win in bench_batch_lookup and
-// lets CI verify that batched results never depend on prefetch side effects.
+// interleaved state machines and issuing a prefetch for the lines the *next*
+// stage of each probe will touch. A hint never changes a result.
 #ifndef MET_COMMON_PREFETCH_H_
 #define MET_COMMON_PREFETCH_H_
 
 namespace met {
 
-#if defined(MET_NO_PREFETCH)
-
-inline constexpr bool kPrefetchEnabled = false;
-inline void PrefetchRead(const void* /*addr*/) {}
-
-#else
-
-inline constexpr bool kPrefetchEnabled = true;
 /// Hints the line holding `addr` into cache for a read (keep in all levels:
 /// a batch probe consumes the line within a few dozen instructions).
 inline void PrefetchRead(const void* addr) {
   __builtin_prefetch(addr, /*rw=*/0, /*locality=*/3);
 }
-
-#endif
 
 }  // namespace met
 

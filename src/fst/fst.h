@@ -106,8 +106,8 @@ class Fst {
   void LookupPathBatch(const std::string_view* keys, size_t n,
                        PathResult* out) const;
 
-  /// Batched unified lookup (dispatched by met::LookupBatch): LookupPathBatch
-  /// plus the full-key depth filter and a prefetched value-array gather.
+  /// Batched Lookup: LookupPathBatch plus the full-key depth filter and a
+  /// prefetched value-array gather. out[i] matches Lookup(keys[i]).
   void LookupBatch(const std::string_view* keys, size_t n,
                    LookupResult* out) const;
 

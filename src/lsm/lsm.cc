@@ -4,7 +4,6 @@
 #include <cstring>
 #include <set>
 
-#include "common/assert.h"
 #include "io/crc32c.h"
 #include "lsm/manifest.h"
 #include "lsm/wal.h"
@@ -1278,23 +1277,10 @@ bool LsmTree::FilterMayContain(const SsTable& t, std::string_view key) {
 }
 
 bool LsmTree::TableGet(const SsTable& t, std::string_view key,
-                       std::string* value, const bool* filter_hint) {
+                       std::string* value) {
   if (key < t.min_key || key > t.max_key) return false;
+  if (!FilterMayContain(t, key)) return false;
   const bool filtered = t.bloom != nullptr || t.surf != nullptr;
-  if (filter_hint != nullptr && filtered) {
-    // Speculative answer from the batched fan-out: account the probe here,
-    // in scalar order, so the stats match the unbatched path exactly.
-    MET_DCHECK(*filter_hint == (t.bloom != nullptr ? t.bloom->MayContain(key)
-                                                   : t.surf->MayContain(key)),
-               "fan-out filter answer diverged from scalar");
-    CountEvent(&stats_.filter_probes, obs_.filter_probes);
-    if (!*filter_hint) {
-      CountEvent(&stats_.filter_negatives, obs_.filter_negatives);
-      return false;
-    }
-  } else if (!FilterMayContain(t, key)) {
-    return false;
-  }
   const RawBlock* b = GetBlock(t, FenceBlock(t.block_first_key, key));
   if (b == nullptr) return false;  // quarantined: fall through to older
   const size_t i = b->LowerBound(key);
@@ -1320,14 +1306,11 @@ bool LsmTree::Lookup(std::string_view key, std::string* value) {
     if (value != nullptr) *value = it->second;
     return true;
   }
-  // Candidate tables in probe order: L0 newest-first (components may
-  // overlap), then the single range-covering table of each deeper level.
-  // The key-range test here is the same one TableGet applies first, so
-  // excluded tables contribute nothing to stats on either path.
-  probe_tables_.clear();
+  // Probe order: L0 newest-first (components may overlap), then the single
+  // range-covering table of each deeper level. TableGet skips a table whose
+  // key range excludes `key` before its filter is probed.
   for (auto t = levels_[0].rbegin(); t != levels_[0].rend(); ++t)
-    if (key >= (*t)->min_key && key <= (*t)->max_key)
-      probe_tables_.push_back(t->get());
+    if (TableGet(**t, key, value)) return true;
   for (size_t l = 1; l < levels_.size(); ++l) {
     // Levels >= 1 are disjoint: binary search for the candidate table.
     const auto& level = levels_[l];
@@ -1335,42 +1318,7 @@ bool LsmTree::Lookup(std::string_view key, std::string* value) {
         level.begin(), level.end(), key,
         [](std::string_view k, const auto& t) { return k < t->min_key; });
     if (lit == level.begin()) continue;
-    --lit;
-    if (key <= (*lit)->max_key) probe_tables_.push_back(lit->get());
-  }
-
-  // Filter fan-out (met::batch): probe every candidate's Bloom filter for
-  // this key as one interleaved batch before any block I/O — the dominant
-  // read-path misses across levels overlap instead of serializing. The
-  // speculative answers are handed to TableGet, which accounts them in
-  // scalar probe order (tables past the first hit stay uncounted).
-  probe_may_.assign(probe_tables_.size(), 2);
-  probe_blooms_.clear();
-  probe_bloom_slot_.clear();
-  for (size_t i = 0; i < probe_tables_.size(); ++i) {
-    if (probe_tables_[i]->bloom != nullptr) {
-      probe_blooms_.push_back(probe_tables_[i]->bloom.get());
-      probe_bloom_slot_.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  if (probe_blooms_.size() > 1) {
-    const uint64_t h = MurmurHash64(key);
-    constexpr size_t kFanOut = 64;
-    bool spec[kFanOut];
-    for (size_t base = 0; base < probe_blooms_.size(); base += kFanOut) {
-      size_t g = std::min(kFanOut, probe_blooms_.size() - base);
-      BloomFilter::MayContainHashFanOut(probe_blooms_.data() + base, g, h,
-                                        spec);
-      for (size_t i = 0; i < g; ++i)
-        probe_may_[probe_bloom_slot_[base + i]] = spec[i] ? 1 : 0;
-    }
-  }
-
-  for (size_t i = 0; i < probe_tables_.size(); ++i) {
-    const bool hint = probe_may_[i] == 1;
-    if (TableGet(*probe_tables_[i], key, value,
-                 probe_may_[i] != 2 ? &hint : nullptr))
-      return true;
+    if (TableGet(**--lit, key, value)) return true;
   }
   return false;
 }

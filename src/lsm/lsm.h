@@ -307,11 +307,8 @@ class LsmTree {
   /// failure sets *status. *out is empty after a false return.
   bool ReadBlockDirect(const SsTable& t, size_t block_idx, RawBlock* out,
                        io::Status* status);
-  /// `filter_hint`, when non-null, is this table's precomputed filter answer
-  /// from the batched fan-out in Lookup; the probe is then accounted here
-  /// (scalar order) instead of re-executed.
-  bool TableGet(const SsTable& t, std::string_view key, std::string* value,
-                const bool* filter_hint = nullptr);
+  /// Point read of one table: key-range test, filter probe, block read.
+  bool TableGet(const SsTable& t, std::string_view key, std::string* value);
   /// Point filter check: true = must read, false = certainly absent.
   bool FilterMayContain(const SsTable& t, std::string_view key);
 
@@ -363,14 +360,6 @@ class LsmTree {
   uint64_t manifest_gen_ = 0;
   bool crashed_ = false;
   io::Status last_io_error_;
-
-  // Lookup scratch (reused across calls to avoid per-read allocation):
-  // candidate tables in probe order, their speculative filter answers
-  // (0/1; 2 = not probed by the fan-out), and the Bloom fan-out arrays.
-  std::vector<const SsTable*> probe_tables_;
-  std::vector<uint8_t> probe_may_;
-  std::vector<const BloomFilter*> probe_blooms_;
-  std::vector<uint32_t> probe_bloom_slot_;
 
   // Counts one event in this tree's stats_ and in the process-wide counter.
   static void CountEvent(uint64_t* stat, obs::Counter* counter) {

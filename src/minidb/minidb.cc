@@ -2,10 +2,7 @@
 
 #include <unistd.h>
 
-#include <algorithm>
-
 #include "common/assert.h"
-#include "common/prefetch.h"
 #include "obs/obs.h"
 
 namespace met {
@@ -117,21 +114,6 @@ size_t TableIndex::Scan(uint64_t key, size_t n,
   return 0;
 }
 
-void TableIndex::LookupBatch(const uint64_t* keys, size_t n,
-                             LookupResult* out) const {
-  switch (kind_) {
-    case IndexKind::kBTree:
-      met::LookupBatch(*btree_, keys, n, out);
-      return;
-    case IndexKind::kHybrid:
-      met::LookupBatch(*hybrid_, keys, n, out);
-      return;
-    case IndexKind::kHybridCompressed:
-      met::LookupBatch(*compressed_, keys, n, out);
-      return;
-  }
-}
-
 size_t TableIndex::MemoryBytes() const {
   switch (kind_) {
     case IndexKind::kBTree:
@@ -173,35 +155,6 @@ bool MiniTable::Get(uint64_t pk, std::string* payload) {
   uint64_t tid;
   if (!primary_.Lookup(pk, &tid)) return false;
   return GetByTupleId(tid, payload);
-}
-
-size_t MiniTable::MultiGet(const uint64_t* pks, size_t n,
-                           std::vector<std::optional<std::string>>* out) {
-  out->assign(n, std::nullopt);
-  constexpr size_t kChunk = 64;
-  LookupResult lr[kChunk];
-  size_t hits = 0;
-  for (size_t base = 0; base < n; base += kChunk) {
-    size_t g = std::min(kChunk, n - base);
-    primary_.LookupBatch(pks + base, g, lr);
-    for (size_t i = 0; i < g; ++i) {
-      // Overlap the row gather: the eviction flag and the payload header
-      // are the next dependent reads for every hit.
-      if (lr[i].found && lr[i].value < payloads_.size()) {
-        PrefetchRead(&evicted_[lr[i].value]);
-        PrefetchRead(&payloads_[lr[i].value]);
-      }
-    }
-    for (size_t i = 0; i < g; ++i) {
-      if (!lr[i].found) continue;
-      std::string payload;
-      if (GetByTupleId(lr[i].value, &payload)) {
-        (*out)[base + i] = std::move(payload);
-        ++hits;
-      }
-    }
-  }
-  return hits;
 }
 
 bool MiniTable::Update(uint64_t pk, std::string_view payload) {

@@ -10,13 +10,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "btree/btree.h"
-#include "common/index_api.h"
 #include "hybrid/hybrid.h"
 #include "io/io.h"
 #include "obs/obs.h"
@@ -54,11 +52,6 @@ class TableIndex {
   size_t Scan(uint64_t key, size_t n, std::vector<uint64_t>* out) const;
   size_t MemoryBytes() const;
 
-  /// Batched point lookups through the unified met::LookupBatch entry point
-  /// (scalar fallback for these tree kinds; native kernels dispatch
-  /// automatically if a structure gains one).
-  void LookupBatch(const uint64_t* keys, size_t n, LookupResult* out) const;
-
  private:
   IndexKind kind_;
   std::unique_ptr<BTree<uint64_t>> btree_;
@@ -82,12 +75,6 @@ class MiniTable {
   /// evicted tuple could not be fetched back (it stays evicted; the failure
   /// is counted in minidb.anticache.errors).
   bool Get(uint64_t pk, std::string* payload = nullptr);
-  /// Batched Get (met::batch): probes the primary index through
-  /// TableIndex::LookupBatch, prefetches every hit's row, then copies the
-  /// payloads out. (*out)[i] is nullopt exactly when Get(pks[i]) is false.
-  /// Returns the number of keys found.
-  size_t MultiGet(const uint64_t* pks, size_t n,
-                  std::vector<std::optional<std::string>>* out);
   bool GetByTupleId(uint64_t tuple_id, std::string* payload);
   bool Update(uint64_t pk, std::string_view payload);
   size_t ScanSecondary(size_t idx, uint64_t sk, size_t n,

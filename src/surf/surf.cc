@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "common/hash.h"
-#include "common/prefetch.h"
 
 namespace met {
 
@@ -114,35 +113,6 @@ bool Surf::MayContain(std::string_view key) const {
   if (!res.found) return false;
   if (SuffixBitsTotal() == 0) return true;
   return StoredSuffix(res.leaf_id) == QuerySuffix(key, res.depth);
-}
-
-void Surf::MayContainBatch(const std::string_view* keys, size_t n,
-                           bool* out) const {
-  constexpr size_t kChunk = 64;
-  Fst::PathResult paths[kChunk];
-  const uint32_t bits = SuffixBitsTotal();
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t g = std::min(kChunk, n - base);
-    fst_.LookupPathBatch(keys + base, g, paths);
-    if (bits > 0) {
-      for (size_t i = 0; i < g; ++i) {
-        if (paths[i].found)
-          PrefetchRead(
-              &suffix_words_[size_t{paths[i].leaf_id} * bits / 64]);
-      }
-    }
-    for (size_t i = 0; i < g; ++i) {
-      out[base + i] =
-          paths[i].found &&
-          (bits == 0 || StoredSuffix(paths[i].leaf_id) ==
-                            QuerySuffix(keys[base + i], paths[i].depth));
-    }
-  }
-#if MET_CHECK_ENABLED
-  for (size_t i = 0; i < n; ++i)
-    MET_DCHECK(out[i] == MayContain(keys[i]),
-               "batched MayContain diverged from scalar");
-#endif
 }
 
 Surf::SeekResult Surf::MoveToNext(std::string_view key) const {

@@ -52,12 +52,6 @@ class Surf {
   /// Point membership test: false guarantees the key is absent.
   bool MayContain(std::string_view key) const;
 
-  /// Batched point membership (met::batch): trie descents run through
-  /// Fst::LookupPathBatch's interleaved pipeline, each hit's packed suffix
-  /// word is prefetched, then the suffix compares execute. out[i] equals
-  /// MayContain(keys[i]) exactly (asserted in checked builds).
-  void MayContainBatch(const std::string_view* keys, size_t n, bool* out) const;
-
   /// Range membership test on [low_key, high_key] (inclusive bounds):
   /// false guarantees no stored key falls in the range.
   bool MayContainRange(std::string_view low_key, std::string_view high_key) const;

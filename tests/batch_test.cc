@@ -1,13 +1,12 @@
-// Batched-vs-scalar parity for the met::batch pipeline (pinned seeds).
+// Batched-vs-scalar parity for the FST batch kernel (pinned seeds).
 //
-// Every batch kernel promises results bit-identical to running its scalar
-// counterpart key by key; these tests enforce that promise over hits,
-// misses, prefix keys, duplicate queries, empty inputs and ragged batch
-// sizes, across the FST config matrix (fast/slow rank & select, dense-only,
-// sparse-only) and every SuRF suffix variant.
+// Fst::LookupPathBatch and Fst::LookupBatch promise results bit-identical to
+// running LookupPath / Lookup key by key; these tests enforce that promise
+// over hits, misses, prefix keys, duplicate queries, empty inputs and ragged
+// batch sizes, across the FST config matrix (dense-only, sparse-only, the
+// dense-to-sparse handoff) and the truncated (SuRF) mode.
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <random>
 #include <string>
 #include <string_view>
@@ -15,14 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bitvec/bitvector.h"
-#include "bitvec/rank.h"
-#include "bitvec/select.h"
-#include "bloom/bloom.h"
-#include "btree/btree.h"
-#include "common/index_api.h"
 #include "fst/fst.h"
-#include "surf/surf.h"
 
 namespace met {
 namespace {
@@ -164,117 +156,6 @@ TEST(BatchTest, EmptyTrieAndEmptyBatch) {
   fst.LookupBatch(&k, 1, &lr);
   EXPECT_FALSE(lr.found);
   fst.LookupPathBatch(nullptr, 0, nullptr);  // n = 0 is a no-op
-}
-
-TEST(BatchTest, SurfVariants) {
-  Dataset d = MakeDataset(/*seed=*/99, /*n=*/2500);
-  for (const SurfConfig& cfg :
-       {SurfConfig::Base(), SurfConfig::Hash(8), SurfConfig::Real(8),
-        SurfConfig::Mixed(4, 4)}) {
-    Surf surf;
-    surf.Build(d.stored, cfg);
-    std::vector<std::string_view> q = Views(d.queries);
-    std::unique_ptr<bool[]> got(new bool[q.size()]);  // vector<bool> packs
-    for (size_t batch : {size_t{1}, size_t{17}, q.size()}) {
-      for (size_t base = 0; base < q.size(); base += batch) {
-        size_t g = std::min(batch, q.size() - base);
-        surf.MayContainBatch(q.data() + base, g, got.get() + base);
-      }
-      for (size_t i = 0; i < q.size(); ++i)
-        ASSERT_EQ(got[i], surf.MayContain(q[i]))
-            << "key " << i << " batch " << batch;
-    }
-  }
-}
-
-TEST(BatchTest, BloomParity) {
-  std::mt19937_64 rng(1234);
-  BloomFilter bloom(10000, 10.0);
-  std::vector<std::string> skeys;
-  std::vector<uint64_t> ikeys;
-  for (size_t i = 0; i < 10000; ++i) {
-    skeys.push_back(IntKey(rng()));
-    ikeys.push_back(rng());
-    if (i % 2 == 0) {
-      bloom.Add(skeys.back());
-      bloom.Add(ikeys.back());
-    }
-  }
-  std::vector<std::string_view> sq = Views(skeys);
-  std::unique_ptr<bool[]> got(new bool[sq.size()]);
-  bloom.MayContainBatch(sq.data(), sq.size(), got.get());
-  for (size_t i = 0; i < sq.size(); ++i)
-    ASSERT_EQ(got[i], bloom.MayContain(sq[i])) << i;
-  bloom.MayContainBatch(ikeys.data(), ikeys.size(), got.get());
-  for (size_t i = 0; i < ikeys.size(); ++i)
-    ASSERT_EQ(got[i], bloom.MayContain(ikeys[i])) << i;
-}
-
-TEST(BatchTest, RankSelectBatchParity) {
-  std::mt19937_64 rng(555);
-  BitVector bv;
-  const size_t bits = 100000;
-  for (size_t i = 0; i < bits; ++i) bv.PushBack(rng() % 4 == 0);
-  for (uint32_t block : {64u, 512u}) {
-    RankSupport rank(&bv, block);
-    std::vector<size_t> pos(4096);
-    for (auto& p : pos) p = rng() % bits;
-    std::vector<size_t> got(pos.size());
-    rank.Rank1Batch(pos.data(), pos.size(), got.data());
-    for (size_t i = 0; i < pos.size(); ++i)
-      ASSERT_EQ(got[i], rank.Rank1(pos[i])) << i;
-  }
-  PoppyRank poppy(&bv);
-  std::vector<size_t> pos(4096);
-  for (auto& p : pos) p = rng() % bits;
-  std::vector<size_t> got(pos.size());
-  poppy.Rank1Batch(pos.data(), pos.size(), got.data());
-  for (size_t i = 0; i < pos.size(); ++i)
-    ASSERT_EQ(got[i], poppy.Rank1(pos[i])) << i;
-
-  RankSupport rank(&bv, 512);
-  size_t total_ones = rank.Rank1(bits - 1);
-  ASSERT_GT(total_ones, 0u);
-  SelectSupport select(&bv, 64);
-  std::vector<size_t> ranks(4096);
-  for (auto& r : ranks) r = 1 + rng() % total_ones;
-  std::vector<size_t> sgot(ranks.size());
-  select.Select1Batch(ranks.data(), ranks.size(), sgot.data());
-  for (size_t i = 0; i < ranks.size(); ++i)
-    ASSERT_EQ(sgot[i], select.Select1(ranks[i])) << i;
-}
-
-TEST(BatchTest, GenericLookupBatchFallbackAndDispatch) {
-  // B+tree has no native kernel: met::LookupBatch falls back to scalar.
-  BTree<uint64_t> tree;
-  for (uint64_t k = 0; k < 1000; ++k) tree.Insert(k * 2, k + 7);
-  std::vector<uint64_t> keys;
-  for (uint64_t k = 0; k < 2000; ++k) keys.push_back(k);
-  std::vector<LookupResult> out(keys.size());
-  static_assert(!HasNativeLookupBatch<BTree<uint64_t>, uint64_t>);
-  LookupBatch(tree, keys.data(), keys.size(), out.data());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    uint64_t v = 0;
-    bool found = tree.Lookup(keys[i], &v);
-    ASSERT_EQ(out[i].found, found) << i;
-    if (found) {
-      ASSERT_EQ(out[i].value, v) << i;
-    }
-  }
-
-  // FST dispatches to its interleaved kernel through the same entry point.
-  static_assert(HasNativeLookupBatch<Fst, std::string_view>);
-  Dataset d = MakeDataset(/*seed=*/3, /*n=*/500);
-  std::vector<uint64_t> values(d.stored.size(), 11);
-  Fst fst;
-  fst.Build(d.stored, values);
-  std::vector<std::string_view> q = Views(d.queries);
-  std::vector<LookupResult> fout(q.size());
-  LookupBatch(fst, q.data(), q.size(), fout.data());
-  for (size_t i = 0; i < q.size(); ++i) {
-    uint64_t v = 0;
-    ASSERT_EQ(fout[i].found, fst.Lookup(q[i], &v)) << i;
-  }
 }
 
 }  // namespace

@@ -134,6 +134,72 @@ TEST(LsmTest, FiltersSavePointIo) {
   EXPECT_GT(bloom.stats().filter_negatives, 0u);
 }
 
+// Point lookups probe L0 newest-first, then the covering table of each
+// deeper level, and stop at the first hit: the filter is probed once per
+// covering table walked, and every probe resolves to exactly one of a
+// negative, a true positive or a false positive.
+TEST(LsmTest, LookupProbeOrderAndFilterAccounting) {
+  LsmTree lsm(SmallOptions("probe_order", LsmFilterType::kBloom));
+  // Eight flushes. Each table holds the shared bounds k000 and k999 (so
+  // every table covers every k-key) plus the middle keys i with
+  // i % 8 == round. The fifth flush exceeds level0_table_limit (4) and
+  // merges rounds 0-4 into one L1 table; rounds 5-7 stay in L0.
+  auto key = [](int i) {
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "k%03d", i);
+    return std::string(buf);
+  };
+  for (int round = 0; round < 8; ++round) {
+    const std::string v = "r" + std::to_string(round);
+    ASSERT_TRUE(lsm.Put(key(0), v).ok());
+    ASSERT_TRUE(lsm.Put(key(999), v).ok());
+    for (int i = round == 0 ? 8 : round; i < 999; i += 8) {
+      ASSERT_TRUE(lsm.Put(key(i), v).ok());
+    }
+    ASSERT_TRUE(lsm.Finish().ok());
+  }
+  ASSERT_EQ(lsm.NumLevels(), 2u);
+  ASSERT_EQ(lsm.NumTables(), 4u);  // three overlapping L0 tables + one L1
+
+  auto& reg = obs::MetricsRegistry::Global();
+  auto counter = [&reg](const char* name) {
+    reg.Collect();
+    return reg.GetCounter(name)->Value();
+  };
+  // Probes spent by one Lookup; checks the value found and the accounting.
+  auto probes = [&](const std::string& k, const char* want) {
+    const uint64_t p0 = lsm.stats().filter_probes;
+    const uint64_t n0 = lsm.stats().filter_negatives;
+    const uint64_t tp0 = counter("lsm.filter.bloom.true_positives");
+    const uint64_t fp0 = counter("lsm.filter.bloom.false_positives");
+    std::string v;
+    const bool found = lsm.Lookup(k, &v);
+    EXPECT_EQ(found, want != nullptr) << k;
+    if (found && want != nullptr) {
+      EXPECT_EQ(v, want) << k;
+    }
+    const uint64_t p = lsm.stats().filter_probes - p0;
+    const uint64_t resolved = (lsm.stats().filter_negatives - n0) +
+                              (counter("lsm.filter.bloom.true_positives") -
+                               tp0) +
+                              (counter("lsm.filter.bloom.false_positives") -
+                               fp0);
+    EXPECT_EQ(resolved, p) << k;
+    return p;
+  };
+
+  EXPECT_EQ(probes(key(0), "r7"), 1u);    // newest L0 table answers
+  EXPECT_EQ(probes(key(7), "r7"), 1u);    // only in the newest L0 table
+  EXPECT_EQ(probes(key(6), "r6"), 2u);
+  EXPECT_EQ(probes(key(5), "r5"), 3u);    // only in the oldest L0 table
+  EXPECT_EQ(probes(key(8), "r0"), 4u);    // only in L1: all three L0 first
+  EXPECT_EQ(probes(key(12), "r4"), 4u);
+  EXPECT_EQ(probes("k5000", nullptr), 4u);  // in range, absent everywhere
+  EXPECT_EQ(probes("a", nullptr), 0u);      // below every table's range
+  EXPECT_EQ(probes("z", nullptr), 0u);      // above every table's range
+  for (int i = 0; i < 1000; ++i) probes(key(i) + "x", nullptr);
+}
+
 TEST(LsmTest, SurfSavesClosedSeekIo) {
   LsmTree none(SmallOptions("rs_none", LsmFilterType::kNone));
   LsmTree surf(SmallOptions("rs_surf", LsmFilterType::kSurfReal));

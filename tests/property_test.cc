@@ -25,7 +25,6 @@
 #include <algorithm>
 
 #include "art/art.h"
-#include "bloom/bloom.h"
 #include "btree/btree.h"
 #include "check/btree_check.h"
 #include "common/index_api.h"
@@ -446,9 +445,9 @@ TEST(PropertySurf, Real8) {
 }
 
 // ---------------------------------------------------------------------------
-// met::batch: the batched lookup pipeline must replay any probe stream
-// bit-identically to the scalar path — same found/value/filter answers at
-// every batch granularity, including chunks that split the stream unevenly.
+// FST batch kernel: Fst::LookupBatch must replay any probe stream
+// bit-identically to scalar Lookup — same found/value answers at every
+// batch granularity, including chunks that split the stream unevenly.
 // ---------------------------------------------------------------------------
 
 void BatchDifferential(uint64_t seed) {
@@ -489,53 +488,6 @@ void BatchDifferential(uint64_t seed) {
           ASSERT_EQ(out[i].value, v)
               << "seed " << seed << " chunk " << chunk << " probe " << i;
         }
-      }
-    }
-  }
-
-  for (const SurfConfig& cfg :
-       {SurfConfig::Base(), SurfConfig::Hash(8), SurfConfig::Real(4)}) {
-    Surf surf;
-    surf.Build(keys, cfg);
-    std::vector<uint8_t> got(n);
-    for (size_t chunk : kChunks) {
-      std::unique_ptr<bool[]> buf(new bool[chunk]);
-      for (size_t i = 0; i < n; i += chunk) {
-        size_t cnt = std::min(chunk, n - i);
-        surf.MayContainBatch(&views[i], cnt, buf.get());
-        for (size_t j = 0; j < cnt; ++j) got[i + j] = buf[j] ? 1 : 0;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i] != 0, surf.MayContain(views[i]))
-            << "seed " << seed << " chunk " << chunk << " probe " << i;
-      }
-    }
-  }
-
-  {
-    BloomFilter bloom(keys.size(), 14);
-    for (const auto& k : keys) bloom.Add(k);
-    std::unique_ptr<bool[]> buf(new bool[n]);
-    bloom.MayContainBatch(views.data(), n, buf.get());
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(buf[i], bloom.MayContain(views[i]))
-          << "seed " << seed << " probe " << i;
-    }
-  }
-
-  {  // generic scalar fallback through the unified entry point
-    BTree<uint64_t> btree;
-    std::vector<uint64_t> iprobes(n);
-    for (size_t i = 0; i < n; ++i) iprobes[i] = rng.Next();
-    for (size_t i = 0; i < n; i += 2) btree.Insert(iprobes[i], i + 1);
-    std::vector<LookupResult> out(n);
-    met::LookupBatch(btree, iprobes.data(), n, out.data());
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t v = 0;
-      bool found = btree.Lookup(iprobes[i], &v);
-      ASSERT_EQ(out[i].found, found) << "seed " << seed << " probe " << i;
-      if (found) {
-        ASSERT_EQ(out[i].value, v) << "seed " << seed << " probe " << i;
       }
     }
   }

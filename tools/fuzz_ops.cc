@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "art/art.h"
-#include "bloom/bloom.h"
 #include "check/btree_check.h"
 #include "check/compact_btree_check.h"
 #include "check/compressed_btree_check.h"
@@ -160,20 +159,15 @@ DiffResult FstSurfTarget(const std::vector<std::string>& keys, uint64_t seed,
   return res;
 }
 
-/// met::batch target: batched lookups (FST, SuRF, Bloom) must answer a
-/// seeded probe stream bit-identically to the scalar path, across uneven
-/// chunk splits. Checked builds additionally run the kernels' inline parity
-/// asserts, so a divergence aborts with the exact probe.
+/// FST batch-kernel target: Fst::LookupBatch must answer a seeded probe
+/// stream bit-identically to scalar Lookup, across uneven chunk splits, in
+/// full-key and truncated (SuRF) mode. Checked builds additionally run the
+/// kernel's inline parity assert, so a divergence aborts with the exact
+/// probe.
 DiffResult BatchTarget(const std::vector<std::string>& keys, uint64_t seed) {
   DiffResult res;
   std::vector<uint64_t> values(keys.size());
   for (size_t i = 0; i < values.size(); ++i) values[i] = i + 1;
-  Fst fst;
-  fst.Build(keys, values);
-  Surf surf;
-  surf.Build(keys, SurfConfig::Mixed(4, 4));
-  BloomFilter bloom(keys.size(), 14);
-  for (const std::string& k : keys) bloom.Add(k);
 
   Random rng(seed ^ 0xBA7C);
   std::vector<std::string> probes;
@@ -200,39 +194,28 @@ DiffResult BatchTarget(const std::vector<std::string>& keys, uint64_t seed) {
   const size_t n = views.size();
 
   constexpr size_t kChunks[] = {1, 5, 16, 64, 333};
-  std::vector<LookupResult> fst_out(n);
-  std::vector<uint8_t> surf_out(n), bloom_out(n);
-  std::unique_ptr<bool[]> buf(new bool[333]);
-  size_t c = 0;
-  for (size_t i = 0; i < n;) {
-    size_t cnt = std::min(kChunks[c++ % 5], n - i);
-    fst.LookupBatch(&views[i], cnt, &fst_out[i]);
-    surf.MayContainBatch(&views[i], cnt, buf.get());
-    for (size_t j = 0; j < cnt; ++j) surf_out[i + j] = buf[j] ? 1 : 0;
-    bloom.MayContainBatch(&views[i], cnt, buf.get());
-    for (size_t j = 0; j < cnt; ++j) bloom_out[i + j] = buf[j] ? 1 : 0;
-    i += cnt;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t v = 0;
-    bool found = fst.Lookup(views[i], &v);
-    if (fst_out[i].found != found || (found && fst_out[i].value != v)) {
-      res.ok = false;
-      res.message = "Fst::LookupBatch diverges from Lookup on probe " +
-                    std::to_string(i) + " (" + probes[i] + ")";
-      return res;
+  for (auto mode :
+       {FstConfig::Mode::kFullKey, FstConfig::Mode::kMinUniquePrefix}) {
+    FstConfig cfg;
+    cfg.mode = mode;
+    Fst fst;
+    fst.Build(keys, values, cfg);
+    std::vector<LookupResult> fst_out(n);
+    size_t c = 0;
+    for (size_t i = 0; i < n;) {
+      size_t cnt = std::min(kChunks[c++ % 5], n - i);
+      fst.LookupBatch(&views[i], cnt, &fst_out[i]);
+      i += cnt;
     }
-    if ((surf_out[i] != 0) != surf.MayContain(views[i])) {
-      res.ok = false;
-      res.message = "Surf::MayContainBatch diverges on probe " +
-                    std::to_string(i) + " (" + probes[i] + ")";
-      return res;
-    }
-    if ((bloom_out[i] != 0) != bloom.MayContain(views[i])) {
-      res.ok = false;
-      res.message = "BloomFilter::MayContainBatch diverges on probe " +
-                    std::to_string(i) + " (" + probes[i] + ")";
-      return res;
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t v = 0;
+      bool found = fst.Lookup(views[i], &v);
+      if (fst_out[i].found != found || (found && fst_out[i].value != v)) {
+        res.ok = false;
+        res.message = "Fst::LookupBatch diverges from Lookup on probe " +
+                      std::to_string(i) + " (" + probes[i] + ")";
+        return res;
+      }
     }
   }
   return res;

@@ -19,7 +19,7 @@
 // tail. Shed (kShed) and deadline refusals are counted apart from service.
 //
 // --timeout-ms bounds how long an op may stay outstanding: an older op is
-// written off (counted in timeouts and expired), and an answer that arrives
+// written off (counted as expired), and an answer that arrives
 // for it later is counted as late. --deadline-ms attaches a server-side
 // deadline to every request. Nothing is retried; a dead connection fails
 // the run.
@@ -98,9 +98,8 @@ struct ThreadResult {
   uint64_t deadline_exceeded = 0;
   uint64_t errors = 0;
   uint64_t sent = 0;
-  uint64_t timeouts = 0;  // ops outstanding past --timeout-ms
-  uint64_t expired = 0;   // ops written off unanswered
-  uint64_t late = 0;      // answers for ops already written off
+  uint64_t expired = 0;  // ops written off unanswered
+  uint64_t late = 0;     // answers for ops already written off
   bool failed = false;
   std::string fail_msg;
 
@@ -329,7 +328,6 @@ void Run(const Config& cfg, size_t t, ThreadResult* out) {
     while (timeout_ns != 0 && !intended.empty() &&
            now - intended.begin()->second >= timeout_ns) {
       intended.erase(intended.begin());
-      ++out->timeouts;
       ++out->expired;
     }
   }
@@ -376,7 +374,7 @@ int main(int argc, char** argv) {
 
   met::obs::Histogram latency;
   uint64_t ok = 0, notfound = 0, shed = 0, errors = 0, sent = 0;
-  uint64_t deadline_exceeded = 0, timeouts = 0, expired = 0, late = 0;
+  uint64_t deadline_exceeded = 0, expired = 0, late = 0;
   for (ThreadResult& r : results) {
     if (r.failed) {
       std::fprintf(stderr, "met_loadgen: connection failed: %s\n",
@@ -390,7 +388,6 @@ int main(int argc, char** argv) {
     errors += r.errors;
     sent += r.sent;
     deadline_exceeded += r.deadline_exceeded;
-    timeouts += r.timeouts;
     expired += r.expired;
     late += r.late;
   }
@@ -405,7 +402,7 @@ int main(int argc, char** argv) {
       "met_loadgen mode=%s conns=%zu pipeline=%zu rate=%.0f seconds=%.2f\n"
       "  sent=%llu serviced=%llu (ok=%llu notfound=%llu) shed=%llu "
       "deadline=%llu errors=%llu\n"
-      "  timeouts=%llu expired=%llu late=%llu\n"
+      "  expired=%llu late=%llu\n"
       "  qps=%.0f qps/shard=%.0f p50=%lluns p99=%lluns p999=%lluns\n",
       mode, cfg.conns, cfg.pipeline, cfg.rate, elapsed,
       static_cast<unsigned long long>(sent),
@@ -415,7 +412,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(shed),
       static_cast<unsigned long long>(deadline_exceeded),
       static_cast<unsigned long long>(errors),
-      static_cast<unsigned long long>(timeouts),
       static_cast<unsigned long long>(expired),
       static_cast<unsigned long long>(late), qps,
       qps / static_cast<double>(cfg.server_shards),
@@ -439,7 +435,6 @@ int main(int argc, char** argv) {
                 {"shed", static_cast<size_t>(shed)},
                 {"deadline_exceeded", static_cast<size_t>(deadline_exceeded)},
                 {"errors", static_cast<size_t>(errors)},
-                {"timeouts", static_cast<size_t>(timeouts)},
                 {"expired", static_cast<size_t>(expired)},
                 {"late", static_cast<size_t>(late)}});
   reporter.WriteIfEnabled();
